@@ -7,6 +7,7 @@ from .dominance import (
     pareto_dominates,
     pareto_violation_ratio,
     pvr,
+    violating_pairs,
 )
 from .indicators import (
     OFFICIAL_WINDOW,

@@ -117,10 +117,32 @@ class Diagnostic:
 @contextmanager
 def _open_text(source: str | Path | IO[str]) -> Iterator[IO[str]]:
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put
+        # before the header.
+        with open(source, encoding="utf-8-sig", newline="") as handle:
             yield handle
     else:
         yield source
+
+
+def _undecodable(source: str | Path | IO[str], exc: UnicodeDecodeError) -> str:
+    """The decode error, with the file and the physical line that holds the bad byte.
+
+    The decoder reads the file in chunks, so the csv reader's line count does
+    not say where the byte is; the file is scanned again, line by line.
+    """
+    if not isinstance(source, (str, Path)):
+        return f"{getattr(source, 'name', 'input')}: not UTF-8 text ({exc.reason})"
+    with open(source, "rb") as raw:
+        for number, line in enumerate(raw, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return (
+                    f"{source}: line {number}: not UTF-8 text "
+                    f"({bad.reason} at byte {bad.start + 1} of the line)"
+                )
+    return f"{source}: not UTF-8 text ({exc.reason})"
 
 
 def _read_rows(
@@ -128,17 +150,20 @@ def _read_rows(
 ) -> tuple[list[dict[str, str]], list[int]]:
     """All rows as dicts plus their line numbers; fails fast on bad headers."""
     with _open_text(source) as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValueError("input is empty, expected a header row")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"missing columns: {', '.join(missing)}")
-        rows: list[dict[str, str]] = []
-        lines: list[int] = []
-        for row in reader:
-            rows.append(row)
-            lines.append(reader.line_num)
+        try:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None:
+                raise ValueError("input is empty, expected a header row")
+            missing = [c for c in required if c not in reader.fieldnames]
+            if missing:
+                raise ValueError(f"missing columns: {', '.join(missing)}")
+            rows: list[dict[str, str]] = []
+            lines: list[int] = []
+            for row in reader:
+                rows.append(row)
+                lines.append(reader.line_num)
+        except UnicodeDecodeError as exc:
+            raise ValueError(_undecodable(source, exc)) from None
     return rows, lines
 
 

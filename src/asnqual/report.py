@@ -35,13 +35,16 @@ from .thresholds import (
     Role,
     Standing,
     ZeroMedianCensus,
-    classify,
     exceeds_count,
+    required_exceedances,
     tag_median_pair,
     zero_median_census,
 )
 
 _NAN = math.nan
+# Upper bound on the bins of the application-count histogram, so that a tiny
+# --bin-width cannot make the report grow without bound.
+MAX_HIST_BINS = 10_000
 
 ROLE_LABELS = {Role.FULL: "full", Role.ASSOCIATE: "associate"}
 KIND_LABELS = {
@@ -255,7 +258,10 @@ def _classify_all(
     for app in data.applications:
         m = index.resolve(app.discipline, app.role)
         count = exceeds_count(app.indicators, m)
-        standing = classify(app.indicators, m)
+        if count >= required_exceedances(m.kind):
+            standing = Standing.OVER_MEDIAN
+        else:
+            standing = Standing.UNDER_MEDIAN
         standings[_app_key(app)] = standing
         rows.append(
             ClassifiedApplication(
@@ -281,21 +287,52 @@ def _app_key(app: ApplicationRecord) -> str:
     return f"{app.discipline.code}|{sub}|{app.role.value}|{app.applicant_id}"
 
 
+def _na_histogram(na_values: Sequence[int], width: float) -> list[HistogramBin]:
+    """Bins [b*width, (b+1)*width) from 0 up past the largest application count."""
+    if not na_values:
+        return []
+    span = (max(na_values) + 1) / width
+    if span > MAX_HIST_BINS:
+        raise ValueError(
+            f"histogram bin width (--bin-width) {width!r} would make more than "
+            f"{MAX_HIST_BINS} bins"
+        )
+    n_bins = max(1, math.ceil(span))
+    counts = [0] * n_bins
+    for v in na_values:
+        b = int(v // width)
+        # v // width can miss the bin edges b*width by one when width is not
+        # exact in binary; the edges as computed below decide.
+        while b * width > v:
+            b -= 1
+        while (b + 1) * width <= v:
+            b += 1
+        counts[b] += 1
+    return [HistogramBin(b * width, (b + 1) * width, c) for b, c in enumerate(counts)]
+
+
 def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundReport:
     """Run the full analysis pipeline over a validated dataset."""
-    if hist_bin_width <= 0:
-        raise ValueError("histogram bin width must be positive")
+    if not (math.isfinite(hist_bin_width) and hist_bin_width > 0):
+        raise ValueError(
+            f"histogram bin width (--bin-width) must be a finite number above 0, "
+            f"got {hist_bin_width!r}"
+        )
     problems = data.validate()
     if problems:
         raise ValueError(f"invalid dataset: {problems[0]}")
 
-    index = data.median_index()
-    kinds = data.registry_kinds()
-    classified, standing_of = _classify_all(data, index)
-
     by_discipline_role: dict[tuple[str, Role], list[ApplicationRecord]] = {}
     for app in data.applications:
         by_discipline_role.setdefault((app.discipline.code, app.role), []).append(app)
+    na_by_code: dict[str, int] = {}
+    for (code, _), apps in by_discipline_role.items():
+        na_by_code[code] = na_by_code.get(code, 0) + len(apps)
+    bins = _na_histogram(list(na_by_code.values()), hist_bin_width)
+
+    index = data.median_index()
+    kinds = data.registry_kinds()
+    classified, standing_of = _classify_all(data, index)
 
     role_rows: list[DisciplineRoleRow] = []
     for (code, role), apps in sorted(by_discipline_role.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
@@ -552,17 +589,6 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         extreme.append(ExtremePqRow("bottom", rank, row.discipline, row.pq))
     for rank, row in enumerate(sorted(ranked, key=lambda r: (-r.pq, r.discipline))[:5], start=1):
         extreme.append(ExtremePqRow("top", rank, row.discipline, row.pq))
-
-    na_values = [r.applications for r in pooled_rows]
-    bins: list[HistogramBin] = []
-    if na_values:
-        top_edge = max(na_values)
-        n_bins = max(1, math.ceil((top_edge + 1) / hist_bin_width))
-        for b in range(n_bins):
-            low = b * hist_bin_width
-            high = (b + 1) * hist_bin_width
-            count = sum(1 for v in na_values if low <= v < high)
-            bins.append(HistogramBin(low, high, count))
 
     distinct_names = len({(a.last_name, a.first_name) for a in data.applications})
 

@@ -1,14 +1,19 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asnqual import dominance
 from asnqual.dominance import (
     ApplicationRecord,
     dominates,
     pareto_dominates,
     pareto_violation_ratio,
+    violating_pairs,
 )
 from asnqual.indicators import IndicatorKind, IndicatorVector
 from asnqual.thresholds import DisciplineId, Role
@@ -44,6 +49,38 @@ def pvr_oracle(apps):
     if dominating == 0:
         return 0.0, 0, 0
     return violating / dominating, dominating, violating
+
+
+def pvr_reference(apps):
+    """The whole-matrix formula: n x n x 3 comparison tensors reduced over components.
+
+    Returns (ratio, dominating, violating, no_comparable_pairs, violating index pairs).
+    """
+    values = np.array([a.indicators.as_tuple() for a in apps], dtype=float).reshape(-1, 3)
+    qualified = np.array([a.qualified for a in apps], dtype=bool)
+    ge = (values[:, None, :] >= values[None, :, :]).all(axis=2)
+    gt = (values[:, None, :] > values[None, :, :]).any(axis=2)
+    dom = ge & gt
+    dominating = int(dom.sum())
+    violation = dom & ~qualified[:, None] & qualified[None, :]
+    pairs = [(int(i), int(j)) for i, j in np.argwhere(violation)]
+    if dominating == 0:
+        return 0.0, 0, 0, True, pairs
+    return len(pairs) / dominating, dominating, len(pairs), False, pairs
+
+
+@st.composite
+def tied_groups(draw, max_size=40):
+    """Rows with components in {0, 1, 2}; each column may be constant."""
+    n = draw(st.integers(0, max_size))
+    columns = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            columns.append([draw(st.integers(0, 2))] * n)
+        else:
+            columns.append(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    qualified = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [((c1, c2, c3), q) for c1, c2, c3, q in zip(*columns, qualified)]
 
 
 class TestParetoDominates:
@@ -82,7 +119,7 @@ class TestPvr:
         assert result.dominating_pairs == 3
         assert result.violations == 1
         assert result.ratio == pytest.approx(1 / 3)
-        ((p, q),) = result.violating_pairs
+        ((p, q),) = violating_pairs(apps)
         assert p.indicators.as_tuple() == (2, 2, 2)
         assert q.indicators.as_tuple() == (1, 1, 1)
 
@@ -162,3 +199,60 @@ class TestPvr:
             for v in values
         ]
         assert pareto_violation_ratio(population(rows)).ratio == 0.0
+
+
+class TestBlockKernel:
+    """The row-blocked counts against the whole-matrix reference."""
+
+    @given(tied_groups(), st.integers(1, 64))
+    def test_matches_whole_matrix_reference(self, rows, block_cells):
+        apps = population(rows)
+        ratio, dominating, violating, none_comparable, pairs = pvr_reference(apps)
+        # A few dozen cells split every group of more than one row into blocks,
+        # down to blocks of a single row when block_cells < 2n.
+        with mock.patch.object(dominance, "_BLOCK_CELLS", block_cells):
+            result = pareto_violation_ratio(apps)
+            listed = violating_pairs(apps)
+        assert result.dominating_pairs == dominating
+        assert result.violations == violating
+        assert result.ratio == ratio
+        assert result.no_comparable_pairs == none_comparable
+        assert listed == [(apps[i], apps[j]) for i, j in pairs]
+
+    @given(tied_groups(), st.integers(0, 12), st.integers(1, 64))
+    def test_limit_returns_the_first_pairs(self, rows, limit, block_cells):
+        apps = population(rows)
+        every = [(apps[i], apps[j]) for i, j in pvr_reference(apps)[4]]
+        with mock.patch.object(dominance, "_BLOCK_CELLS", block_cells):
+            assert violating_pairs(apps, limit=limit) == every[:limit]
+            assert violating_pairs(apps, limit=None) == every
+
+    def test_negative_limit_is_an_error(self):
+        apps = population([((2, 2, 2), False), ((1, 1, 1), True)])
+        with pytest.raises(ValueError, match="limit"):
+            violating_pairs(apps, limit=-1)
+
+    def test_violating_pairs_rejects_mixed_groups(self):
+        a = ApplicationRecord("a", "A", "A", D, Role.FULL, vec(1, 1, 1), True)
+        b = ApplicationRecord("b", "B", "B", D, Role.ASSOCIATE, vec(1, 1, 1), True)
+        with pytest.raises(ValueError, match="share one discipline and role"):
+            violating_pairs([a, b])
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # The whole-matrix formula needs 3 * n^2 bytes per comparison tensor
+        # (108 MB at n = 6,000); the kernel holds a few block-sized matrices
+        # besides the n x 3 indicator matrix, which is built from one tuple
+        # per row (about 110 bytes a row).
+        rng = np.random.default_rng(5)
+        n = 6000
+        values = rng.integers(0, 6, (n, 3))
+        qualified = rng.random(n) < 0.5
+        apps = population([(tuple(v), bool(q)) for v, q in zip(values, qualified)])
+        tracemalloc.start()
+        try:
+            result = pareto_violation_ratio(apps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.dominating_pairs > 0
+        assert peak < 6 * dominance._BLOCK_CELLS + 160 * n

@@ -270,6 +270,27 @@ class TestRoundDataset:
         assert list(reparsed.medians) == list(dataset.medians)
         assert list(reparsed.registry) == list(dataset.registry)
 
+    @pytest.mark.parametrize("with_bom", ["applications.csv", "medians.csv"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, with_bom):
+        dataset = synthesize_round(default_synth_config(), 11)
+        write_applications(dataset.applications, tmp_path / "applications.csv")
+        write_medians(dataset.medians, tmp_path / "medians.csv")
+        path = tmp_path / with_bom
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        reparsed, diagnostics = load_round(tmp_path / "applications.csv", tmp_path / "medians.csv")
+        assert diagnostics == []
+        assert list(reparsed.applications) == list(dataset.applications)
+        assert list(reparsed.medians) == list(dataset.medians)
+
+    def test_latin1_row_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "applications.csv"
+        rows = [APPS_HEADER.encode()]
+        rows += [f"Name{i},Maria,01/A1,,1,11,15,6,true\n".encode() for i in range(3000)]
+        rows[2500] = "Ferr\u00e9,Maria,01/A1,,1,11,15,6,true\n".encode("latin-1")
+        path.write_bytes(b"".join(rows))
+        with pytest.raises(ValueError, match=r"applications\.csv: line 2501: not UTF-8 text"):
+            parse_applications(path)
+
     def test_serialization_is_stable(self):
         dataset = synthesize_round(default_synth_config(), 11)
         first, second = io.StringIO(), io.StringIO()

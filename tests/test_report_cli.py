@@ -1,7 +1,10 @@
 import json
 import math
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asnqual.cli import main
 from asnqual.dominance import ApplicationRecord
@@ -13,7 +16,7 @@ from asnqual.ingest import (
     write_medians,
     write_registry,
 )
-from asnqual.report import analyze_round, emit
+from asnqual.report import _na_histogram, analyze_round, emit
 from asnqual.synth import (
     ComponentModel,
     DisciplinePlan,
@@ -218,6 +221,20 @@ class TestAnalyzeSmallRound:
         bins = {(b.low, b.high): b.count for b in report.na_histogram}
         assert bins == {(0.0, 5.0): 1, (5.0, 10.0): 1, (10.0, 15.0): 1}
         assert report.hist_bin_width == 5.0
+
+    @given(
+        st.lists(st.integers(0, 400), max_size=30),
+        st.floats(0.5, 5000, allow_nan=False) | st.sampled_from([0.1, 0.3, 0.7, 1 / 3, 2.2]),
+    )
+    def test_histogram_matches_the_edge_comparisons(self, na_values, width):
+        expected = []
+        if na_values:
+            n_bins = max(1, math.ceil((max(na_values) + 1) / width))
+            for b in range(n_bins):
+                low, high = b * width, (b + 1) * width
+                expected.append((low, high, sum(1 for v in na_values if low <= v < high)))
+        got = [(h.low, h.high, h.count) for h in _na_histogram(na_values, width)]
+        assert got == expected
 
     def test_extreme_pq_ranks_by_pooled_rate(self, report):
         top = [r for r in report.extreme_pq if r.position == "top"]
@@ -470,6 +487,43 @@ class TestCli:
         )
         assert code == 1
         assert "bin width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["nan", "inf", "0", "-1", "1e-6"])
+    def test_unusable_bin_width_exits_1_quickly(self, golden_dir, tmp_path, capsys, width):
+        started = time.perf_counter()
+        code = main(
+            [
+                "analyze",
+                "--applications",
+                str(golden_dir / "applications.csv"),
+                "--medians",
+                str(golden_dir / "medians.csv"),
+                "--registry",
+                str(golden_dir / "registry.csv"),
+                "--out",
+                str(tmp_path / "report"),
+                f"--bin-width={width}",
+            ]
+        )
+        assert code == 1
+        assert time.perf_counter() - started < 10.0
+        err = capsys.readouterr().err
+        assert "--bin-width" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
+    def test_latin1_input_exits_1_with_file_and_line(self, golden_dir, tmp_path, capsys):
+        lines = (golden_dir / "applications.csv").read_bytes().split(b"\n")
+        lines[9] = lines[9].replace(b",", "\u00e9,".encode("latin-1"), 1)
+        apps = tmp_path / "applications.csv"
+        apps.write_bytes(b"\n".join(lines))
+        code = main(
+            ["validate", "--applications", str(apps), "--medians", str(golden_dir / "medians.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{apps}: line 10: not UTF-8 text" in err
+        assert "Traceback" not in err
 
     def test_synth_accepts_a_config_file(self, tmp_path, capsys):
         config = SynthConfig(
