@@ -39,7 +39,7 @@ from .ingest import (
     write_medians,
     write_registry,
 )
-from .report import RoundReport, analyze_round, emit
+from .report import InvalidDatasetError, RoundReport, analyze_round, emit
 from .stats import (
     ConditionalRates,
     CorrelationResult,
@@ -64,6 +64,7 @@ from .thresholds import (
     MedianIndex,
     MedianSet,
     MedianTag,
+    MissingMedianSetError,
     Role,
     Standing,
     ZeroMedianCensus,

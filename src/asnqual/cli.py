@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .ingest import load_round, write_applications, write_medians, write_registry
-from .report import analyze_round, emit
+from .report import InvalidDatasetError, analyze_round, emit
 from .synth import SynthConfig, default_synth_config, synthesize_round
 
 
@@ -55,12 +55,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     dataset, diagnostics = load_round(args.applications, args.medians, args.registry)
     for diag in diagnostics:
         print(f"note: {diag}", file=sys.stderr)
-    problems = dataset.validate()
-    if problems:
-        for problem in problems:
+    try:
+        report = analyze_round(dataset, hist_bin_width=args.bin_width)
+    except InvalidDatasetError as exc:
+        for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
-    report = analyze_round(dataset, hist_bin_width=args.bin_width)
     written = emit(report, args.format, args.out)
     print(f"wrote {len(written)} file(s) to {args.out}")
     return 0

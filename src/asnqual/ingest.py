@@ -151,7 +151,8 @@ def _read_rows(
     """All rows as dicts plus their line numbers; fails fast on bad headers."""
     with _open_text(source) as handle:
         try:
-            reader = csv.DictReader(handle)
+            # a short row reads as empty fields, which the parsers reject
+            reader = csv.DictReader(handle, restval="")
             if reader.fieldnames is None:
                 raise ValueError("input is empty, expected a header row")
             missing = [c for c in required if c not in reader.fieldnames]

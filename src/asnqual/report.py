@@ -1,6 +1,6 @@
 """Full round analysis and deterministic report emission.
 
-analyze_round turns a validated RoundDataset into a RoundReport holding
+analyze_round validates a RoundDataset and turns it into a RoundReport holding
 every table of the analysis pipeline: per-area and per-discipline
 qualification counts, five-number summaries, rank correlations, pooled
 conditional rates with bibliometric/non-bibliometric difference
@@ -30,7 +30,9 @@ from .stats import (
     spearman_rho,
 )
 from .thresholds import (
+    DisciplineId,
     MedianIndex,
+    MedianSet,
     MedianTag,
     Role,
     Standing,
@@ -45,6 +47,15 @@ _NAN = math.nan
 # Upper bound on the bins of the application-count histogram, so that a tiny
 # --bin-width cannot make the report grow without bound.
 MAX_HIST_BINS = 10_000
+
+
+class InvalidDatasetError(ValueError):
+    """A dataset that RoundDataset.validate() rejects; keeps every problem."""
+
+    def __init__(self, problems: Sequence[str]) -> None:
+        super().__init__(f"invalid dataset: {problems[0]}")
+        self.problems = list(problems)
+
 
 ROLE_LABELS = {Role.FULL: "full", Role.ASSOCIATE: "associate"}
 KIND_LABELS = {
@@ -255,8 +266,11 @@ def _classify_all(
 ) -> tuple[list[ClassifiedApplication], dict[str, Standing]]:
     standings: dict[str, Standing] = {}
     rows: list[ClassifiedApplication] = []
+    medians: dict[tuple[DisciplineId, Role], MedianSet] = {}
     for app in data.applications:
-        m = index.resolve(app.discipline, app.role)
+        m = medians.get((app.discipline, app.role))
+        if m is None:
+            m = medians[app.discipline, app.role] = index.resolve(app.discipline, app.role)
         count = exceeds_count(app.indicators, m)
         if count >= required_exceedances(m.kind):
             standing = Standing.OVER_MEDIAN
@@ -312,15 +326,19 @@ def _na_histogram(na_values: Sequence[int], width: float) -> list[HistogramBin]:
 
 
 def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundReport:
-    """Run the full analysis pipeline over a validated dataset."""
+    """Run the full analysis pipeline over a dataset.
+
+    Raises InvalidDatasetError, listing every problem, when the dataset
+    does not validate.
+    """
+    problems = data.validate()
+    if problems:
+        raise InvalidDatasetError(problems)
     if not (math.isfinite(hist_bin_width) and hist_bin_width > 0):
         raise ValueError(
             f"histogram bin width (--bin-width) must be a finite number above 0, "
             f"got {hist_bin_width!r}"
         )
-    problems = data.validate()
-    if problems:
-        raise ValueError(f"invalid dataset: {problems[0]}")
 
     by_discipline_role: dict[tuple[str, Role], list[ApplicationRecord]] = {}
     for app in data.applications:

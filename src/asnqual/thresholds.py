@@ -68,6 +68,18 @@ class DisciplineId:
         return (self.code, self.sub_discipline or "")
 
 
+class MissingMedianSetError(KeyError, ValueError):
+    """No median set covers a discipline and role.
+
+    A KeyError as a failed lookup, and a ValueError as invalid input, which
+    the CLI reports with exit code 1.
+    """
+
+    def __str__(self) -> str:
+        # KeyError would print the repr of the message
+        return str(self.args[0])
+
+
 @dataclass(frozen=True)
 class MedianSet:
     """The threshold triple for one (discipline, sub-discipline?, role).
@@ -236,7 +248,7 @@ class MedianIndex:
         if found is None and discipline.sub_discipline is not None:
             found = self.get(discipline.code, None, role)
         if found is None:
-            raise KeyError(
+            raise MissingMedianSetError(
                 f"no median set for {discipline.code} role {role.name.lower()}"
             )
         return found

@@ -448,6 +448,47 @@ class TestCli:
         assert code == 1
         assert "no median set" in capsys.readouterr().err
 
+    def test_analyze_validates_once(self, tmp_path, monkeypatch):
+        data = small_round()
+        apps = tmp_path / "applications.csv"
+        medians = tmp_path / "medians.csv"
+        write_applications(data.applications, apps)
+        write_medians(data.medians, medians)
+        calls = []
+        validate = RoundDataset.validate
+        monkeypatch.setattr(RoundDataset, "validate", lambda self: calls.append(1) or validate(self))
+        args = ["--applications", str(apps), "--medians", str(medians), "--out", str(tmp_path / "r")]
+        assert main(["analyze", *args]) == 0
+        assert len(calls) == 1
+
+    def test_every_validation_problem_is_printed(self, tmp_path, capsys):
+        data = small_round()
+        apps = tmp_path / "applications.csv"
+        medians = tmp_path / "medians.csv"
+        write_applications(data.applications, apps)
+        write_medians([m for m in data.medians if m.discipline.code != "13/A5"], medians)
+        args = ["--applications", str(apps), "--medians", str(medians), "--out", str(tmp_path / "r")]
+        assert main(["analyze", *args]) == 1
+        err = capsys.readouterr().err
+        # the two 13/A5 full professors in small_round, each on its own line
+        assert err.count("error: application") == err.count("no median set for 13/A5") == 2
+        assert not (tmp_path / "r").exists()
+
+    def test_unvalidated_missing_median_set_exits_1(self, tmp_path, capsys, monkeypatch):
+        # classification raises MissingMedianSetError if a dataset reaches it
+        # unvalidated; main() reports it as invalid input, not a traceback
+        data = small_round()
+        apps = tmp_path / "applications.csv"
+        medians = tmp_path / "medians.csv"
+        write_applications(data.applications, apps)
+        write_medians(data.medians[:-1], medians)
+        monkeypatch.setattr(RoundDataset, "validate", lambda self: [])
+        args = ["--applications", str(apps), "--medians", str(medians), "--out", str(tmp_path / "r")]
+        assert main(["analyze", *args]) == 1
+        err = capsys.readouterr().err
+        assert "error: no median set for" in err
+        assert "Traceback" not in err
+
     def test_validate_reports_row_damage(self, tmp_path, capsys):
         apps = tmp_path / "applications.csv"
         apps.write_text(

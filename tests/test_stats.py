@@ -1,5 +1,7 @@
 import csv
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy import stats as scipy_stats
 
+from asnqual import stats
 from asnqual.dominance import ApplicationRecord
 from asnqual.indicators import IndicatorKind, IndicatorVector
 from asnqual.stats import (
@@ -91,6 +93,7 @@ class TestSpearman:
         # ranks works out to 4.5/sqrt(5*4.5) = 3/sqrt(10)
         r = spearman_rho([1, 2, 3, 4], [1, 2, 2, 4])
         assert r.rho == pytest.approx(3 / math.sqrt(10), abs=1e-12)
+        scipy_stats = pytest.importorskip("scipy.stats")
         reference = scipy_stats.spearmanr([1, 2, 3, 4], [1, 2, 2, 4]).statistic
         assert r.rho == pytest.approx(reference, abs=1e-12)
 
@@ -149,9 +152,47 @@ class TestSpearman:
         n = min(len(x), len(y))
         x, y = x[:n], y[:n]
         assume(len(set(x)) > 1 and len(set(y)) > 1)
+        scipy_stats = pytest.importorskip("scipy.stats")
         ours = spearman_rho(x, y).rho
         reference = scipy_stats.spearmanr(x, y).statistic
         assert ours == pytest.approx(reference, abs=1e-9)
+
+
+def average_ranks_reference(values):
+    """The per-run loop that _average_ranks replaced, kept as its oracle."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    # a few distinct values, so that most draws tie, plus NaN, signed zeros
+    # and infinities
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e308, math.inf, -math.inf, math.nan])
+            | st.floats(allow_nan=True),
+            max_size=60,
+        )
+    )
+    def test_matches_the_loop_exactly(self, values):
+        a = np.asarray(values, dtype=float)
+        ours = stats._average_ranks(a)
+        reference = average_ranks_reference(a)
+        assert ours.dtype == reference.dtype
+        assert ours.tobytes() == reference.tobytes()
+
+    def test_each_nan_is_its_own_run(self):
+        ranks = stats._average_ranks(np.array([math.nan, 1.0, math.nan, 1.0]))
+        assert ranks.tolist() == [3.0, 1.5, 4.0, 1.5]
 
 
 GOLDEN_CORRELATIONS = Path(__file__).parent / "golden" / "report" / "correlations.csv"
@@ -241,6 +282,39 @@ class TestZeroCorrPValue:
     def test_within_half_a_unit_in_the_tenth_digit_near_one(self, k, m, n):
         self.assert_within_half_a_unit_in_the_tenth_digit(1.0 - m * 2.0**-k, n)
 
+    @pytest.mark.parametrize(
+        "rho, n",
+        [
+            # a continued fraction on the rounded x = 1 - rho^2 was 7e-12 off here
+            (0.005115669088944269, 190938),
+            # rho^2 near 1/2 at n near 2,000, where the tail from a rounded x
+            # was 1.9e-13 off
+            (0.7275, 1819),
+            # the largest n the properties draw, p = 4.4e-268
+            (0.0781, 200000),
+            # p = 8.9959686515009e-294: a log x rounded to one double gave
+            # 1.3e-13 too little and the 10th digit rounded down
+            (0.3851393136819746, 8360),
+            # u = 670 in the BGRAT expansion: erfc of a rounded sqrt(u) was
+            # 2.2e-13 off
+            (0.26493236930986047, 16851),
+            # p = 5.6e-299 without the low part of u = -T ln x: 1.3e-13 off
+            (0.12711077476950547, 83851),
+            # p = 2.6e-280 from the continued fraction, with the exponent of
+            # its front factor rounded to one double: 1.2e-13 off
+            (0.9918452514426351, 313),
+            # n = 31 and 32 on either side of the switch to the BGRAT expansion
+            (0.3, 31),
+            (0.3, 32),
+            (0.6, 31),
+        ],
+    )
+    def test_cases_that_broke_earlier_tails(self, rho, n):
+        exact = exact_p_value(rho, n)
+        tail = stats._t_tail(abs(rho), 0.5 * (n - 2))
+        assert abs(tail - exact) <= 1e-13 * exact
+        assert zero_corr_p_value(rho, n) == rounded_10(exact)
+
     def test_out_of_range_arguments_are_errors(self):
         with pytest.raises(ValueError, match="at least 3"):
             zero_corr_p_value(0.5, 2)
@@ -248,6 +322,19 @@ class TestZeroCorrPValue:
             zero_corr_p_value(1.5, 10)
         with pytest.raises(ValueError, match="outside"):
             zero_corr_p_value(math.nan, 10)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, asnqual, asnqual.cli; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def build_apps(over, qualified_flags, medians):

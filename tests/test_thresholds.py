@@ -10,6 +10,7 @@ from asnqual.thresholds import (
     MedianIndex,
     MedianSet,
     MedianTag,
+    MissingMedianSetError,
     Role,
     Standing,
     classify,
@@ -270,6 +271,11 @@ class TestMedianIndex:
     def test_missing_set_is_an_error(self):
         with pytest.raises(KeyError):
             self.build().resolve(DisciplineId.parse("02/A1"), Role.FULL)
+
+    def test_missing_set_is_also_invalid_input(self):
+        with pytest.raises(ValueError, match="^no median set for 02/A1 role full$") as info:
+            self.build().resolve(DisciplineId.parse("02/A1"), Role.FULL)
+        assert isinstance(info.value, MissingMedianSetError)
 
     def test_duplicate_key_is_an_error(self):
         with pytest.raises(ValueError, match="duplicate"):
