@@ -252,7 +252,7 @@ def parse_applications(
     rows, lines = _read_rows(source, APPLICATION_COLUMNS)
     records: list[ApplicationRecord] = []
     diagnostics: list[Diagnostic] = []
-    seen: set[tuple[str, str | None, Role, str]] = set()
+    seen: set[tuple[str, str | None, Role, str, str]] = set()
     for row, line in zip(rows, lines):
         try:
             discipline = DisciplineId.parse(
@@ -279,7 +279,7 @@ def parse_applications(
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
         applicant_id = f"{last}|{first}"
-        key = (discipline.code, discipline.sub_discipline, role, applicant_id)
+        key = (discipline.code, discipline.sub_discipline, role, last, first)
         if key in seen:
             raise ValueError(
                 f"line {line}: duplicate application for {applicant_id} "

@@ -12,13 +12,15 @@ for a fixed report.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
-from .dominance import ApplicationRecord, pareto_violation_ratio
+from .dominance import pareto_violation_ratio
 from .indicators import IndicatorKind
 from .ingest import AREA_ACRONYMS, RoundDataset
 from .stats import (
@@ -261,10 +263,27 @@ def _summary_row(variable: str, values: Sequence[float]) -> SummaryRow:
     return SummaryRow(variable, len(clean), five_number_summary(clean))
 
 
+def _fa_pairs(rows: Collection, code: Callable[..., str]) -> list[tuple]:
+    """(full, associate) of every discipline code that has both roles, in code order."""
+    full = {code(r): r for r in rows if r.role is Role.FULL}
+    assoc = {code(r): r for r in rows if r.role is Role.ASSOCIATE}
+    return [(full[c], assoc[c]) for c in sorted(full.keys() & assoc.keys())]
+
+
+def _fa_correlation(label: str, field: str, group: str, pairs: Sequence[tuple]) -> CorrelationRow:
+    """Spearman of `field`, full against associate; a pair holding a NaN is left out."""
+    get = operator.attrgetter(field)
+    xy = [(get(f), get(a)) for f, a in pairs]
+    xy = [(x, y) for x, y in xy if not (math.isnan(x) or math.isnan(y))]
+    result = _safe_spearman([x for x, _ in xy], [y for _, y in xy])
+    return CorrelationRow(f"{label}.F", f"{label}.A", group, result)
+
+
 def _classify_all(
     data: RoundDataset, index: MedianIndex
-) -> tuple[list[ClassifiedApplication], dict[str, Standing]]:
-    standings: dict[str, Standing] = {}
+) -> tuple[list[ClassifiedApplication], list[Standing]]:
+    """The sorted classified rows, and each application's standing in data.applications order."""
+    standings: list[Standing] = []
     rows: list[ClassifiedApplication] = []
     medians: dict[tuple[DisciplineId, Role], MedianSet] = {}
     for app in data.applications:
@@ -276,7 +295,7 @@ def _classify_all(
             standing = Standing.OVER_MEDIAN
         else:
             standing = Standing.UNDER_MEDIAN
-        standings[_app_key(app)] = standing
+        standings.append(standing)
         rows.append(
             ClassifiedApplication(
                 app.applicant_id,
@@ -294,11 +313,6 @@ def _classify_all(
         )
     rows.sort(key=lambda r: (r.discipline, r.sub_discipline, r.role.value, r.applicant_id))
     return rows, standings
-
-
-def _app_key(app: ApplicationRecord) -> str:
-    sub = app.discipline.sub_discipline or ""
-    return f"{app.discipline.code}|{sub}|{app.role.value}|{app.applicant_id}"
 
 
 def _na_histogram(na_values: Sequence[int], width: float) -> list[HistogramBin]:
@@ -340,21 +354,25 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
             f"got {hist_bin_width!r}"
         )
 
-    by_discipline_role: dict[tuple[str, Role], list[ApplicationRecord]] = {}
-    for app in data.applications:
-        by_discipline_role.setdefault((app.discipline.code, app.role), []).append(app)
+    applications = data.applications
+    # Positions in data.applications of each (discipline code, role) group.
+    members: dict[tuple[str, Role], list[int]] = {}
+    for i, app in enumerate(applications):
+        members.setdefault((app.discipline.code, app.role), []).append(i)
+    groups = sorted(members.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
     na_by_code: dict[str, int] = {}
-    for (code, _), apps in by_discipline_role.items():
-        na_by_code[code] = na_by_code.get(code, 0) + len(apps)
+    for (code, _), positions in groups:
+        na_by_code[code] = na_by_code.get(code, 0) + len(positions)
     bins = _na_histogram(list(na_by_code.values()), hist_bin_width)
 
     index = data.median_index()
     kinds = data.registry_kinds()
-    classified, standing_of = _classify_all(data, index)
+    classified, standings = _classify_all(data, index)
 
     role_rows: list[DisciplineRoleRow] = []
-    for (code, role), apps in sorted(by_discipline_role.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        over = [standing_of[_app_key(a)] is Standing.OVER_MEDIAN for a in apps]
+    for (code, role), positions in groups:
+        apps = [applications[i] for i in positions]
+        over = [standings[i] is Standing.OVER_MEDIAN for i in positions]
         qual = [a.qualified for a in apps]
         rates = rates_from_flags(qual, over)
         pvr_result = pareto_violation_ratio(apps)
@@ -381,63 +399,36 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
             )
         )
 
-    pooled_rows: list[DisciplinePooledRow] = []
-    codes = sorted({code for code, _ in by_discipline_role})
-    rows_by_code: dict[str, list[DisciplineRoleRow]] = {}
-    for row in role_rows:
-        rows_by_code.setdefault(row.discipline, []).append(row)
-    for code in codes:
-        rows = rows_by_code[code]
-        applications = sum(r.applications for r in rows)
-        qualified = sum(r.qualified for r in rows)
-        over = sum(r.over_median for r in rows)
-        under = sum(r.under_median for r in rows)
-        q_over = sum(r.qualified_over for r in rows)
-        q_under = sum(r.qualified_under for r in rows)
-        pooled_rows.append(
-            DisciplinePooledRow(
-                code,
-                kinds[code],
-                applications,
-                qualified,
-                over,
-                under,
-                q_over,
-                q_under,
-                _rate(qualified, applications),
-                _rate(q_over, over),
-                _rate(q_under, under),
-            )
+    # Per code: applications, qualified, over, under, qualified over, qualified under.
+    pooled: dict[str, list[int]] = {}
+    # Per area: full and associate applications, full and associate qualified.
+    by_area: dict[str, list[int]] = {}
+    for r in role_rows:
+        counts = (r.applications, r.qualified, r.over_median, r.under_median,
+                  r.qualified_over, r.qualified_under)
+        sums = pooled.setdefault(r.discipline, [0] * 6)
+        for i, count in enumerate(counts):
+            sums[i] += count
+        area = by_area.setdefault(r.discipline[:2], [0] * 4)
+        slot = 0 if r.role is Role.FULL else 1
+        area[slot] += r.applications
+        area[2 + slot] += r.qualified
+    pooled_rows = [
+        DisciplinePooledRow(
+            code, kinds[code], n, k, over, under, k_over, k_under,
+            _rate(k, n), _rate(k_over, over), _rate(k_under, under),
         )
-
-    area_rows: list[AreaRow] = []
-    for area in sorted({code[:2] for code in codes}):
-        area_pooled = [r for r in pooled_rows if r.discipline.startswith(area + "/")]
-        area_role = [r for r in role_rows if r.discipline.startswith(area + "/")]
-        apps_full = sum(r.applications for r in area_role if r.role is Role.FULL)
-        apps_assoc = sum(r.applications for r in area_role if r.role is Role.ASSOCIATE)
-        qual_full = sum(r.qualified for r in area_role if r.role is Role.FULL)
-        qual_assoc = sum(r.qualified for r in area_role if r.role is Role.ASSOCIATE)
-        total = sum(r.applications for r in area_pooled)
-        qual_total = sum(r.qualified for r in area_pooled)
-        area_rows.append(
-            AreaRow(
-                area,
-                AREA_ACRONYMS[area],
-                apps_full,
-                apps_assoc,
-                total,
-                qual_full,
-                qual_assoc,
-                qual_total,
-                _rate(qual_full, apps_full),
-                _rate(qual_assoc, apps_assoc),
-                _rate(qual_total, total),
-            )
+        for code, (n, k, over, under, k_over, k_under) in pooled.items()
+    ]
+    area_rows = [
+        AreaRow(
+            area, AREA_ACRONYMS[area], n_full, n_assoc, n_full + n_assoc,
+            k_full, k_assoc, k_full + k_assoc,
+            _rate(k_full, n_full), _rate(k_assoc, n_assoc),
+            _rate(k_full + k_assoc, n_full + n_assoc),
         )
-
-    full_by_code = {r.discipline: r for r in role_rows if r.role is Role.FULL}
-    assoc_by_code = {r.discipline: r for r in role_rows if r.role is Role.ASSOCIATE}
+        for area, (n_full, n_assoc, k_full, k_assoc) in sorted(by_area.items())
+    ]
 
     summaries = [
         _summary_row("NA", [r.applications for r in pooled_rows]),
@@ -448,49 +439,38 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         _summary_row("PVR.A", [r.pvr for r in role_rows if r.role is Role.ASSOCIATE]),
     ]
 
-    correlations: list[CorrelationRow] = []
+    # One pass over the classified rows: indicator vectors per role and kind,
+    # and [applications, qualified] per role, kind and standing.
+    vectors = {(role, kind): [] for role in Role for kind in IndicatorKind}
+    group_counts = {
+        (role, kind, standing): [0, 0]
+        for role in Role for kind in IndicatorKind for standing in Standing
+    }
+    for r in classified:
+        vectors[r.role, r.kind].append((r.ind1, r.ind2, r.ind3))
+        counts = group_counts[r.role, r.kind, r.standing]
+        counts[0] += 1
+        counts[1] += r.qualified
 
-    def _paired_rows(metric) -> tuple[list[float], list[float], list[str]]:
-        xs, ys, paired_codes = [], [], []
-        for code in codes:
-            f, a = full_by_code.get(code), assoc_by_code.get(code)
-            if f is None or a is None:
-                continue
-            x, y = metric(f), metric(a)
-            if math.isnan(x) or math.isnan(y):
-                continue
-            xs.append(x)
-            ys.append(y)
-            paired_codes.append(code)
-        return xs, ys, paired_codes
-
-    na_f, na_a, _ = _paired_rows(lambda r: float(r.applications))
-    correlations.append(CorrelationRow("NA.F", "NA.A", "all", _safe_spearman(na_f, na_a)))
-    pq_f, pq_a, _ = _paired_rows(lambda r: r.pq)
-    correlations.append(CorrelationRow("PQ.F", "PQ.A", "all", _safe_spearman(pq_f, pq_a)))
-
+    pairs = _fa_pairs(role_rows, operator.attrgetter("discipline"))
+    pairs_of = {kind: [p for p in pairs if p[0].kind is kind] for kind in IndicatorKind}
     top_level = {(s.discipline.code, s.role): s for s in index.top_level()}
-    for kind in (IndicatorKind.BIBLIOMETRIC, IndicatorKind.NON_BIBLIOMETRIC):
-        for i, label in enumerate(("M1", "M2", "M3")):
-            xs, ys = [], []
-            for code in sorted({c for c, _ in top_level}):
-                full = top_level.get((code, Role.FULL))
-                assoc = top_level.get((code, Role.ASSOCIATE))
-                if full is None or assoc is None or full.kind is not kind:
-                    continue
-                xs.append(full.as_tuple()[i])
-                ys.append(assoc.as_tuple()[i])
-            correlations.append(
-                CorrelationRow(f"{label}.F", f"{label}.A", KIND_LABELS[kind], _safe_spearman(xs, ys))
-            )
-
+    median_pairs = _fa_pairs(top_level.values(), lambda s: s.discipline.code)
+    correlations = [
+        _fa_correlation("NA", "applications", "all", pairs),
+        _fa_correlation("PQ", "pq", "all", pairs),
+    ]
+    for kind in IndicatorKind:
+        kind_pairs = [p for p in median_pairs if p[0].kind is kind]
+        for i in (1, 2, 3):
+            correlations.append(_fa_correlation(f"M{i}", f"m{i}", KIND_LABELS[kind], kind_pairs))
     suffix = {Role.FULL: "F", Role.ASSOCIATE: "A"}
     for role in (Role.FULL, Role.ASSOCIATE):
         for kind in (IndicatorKind.BIBLIOMETRIC, IndicatorKind.NON_BIBLIOMETRIC):
-            group = [r for r in classified if r.role is role and r.kind is kind]
+            group = vectors[role, kind]
             for i, j in ((0, 1), (0, 2), (1, 2)):
-                xs = [(r.ind1, r.ind2, r.ind3)[i] for r in group]
-                ys = [(r.ind1, r.ind2, r.ind3)[j] for r in group]
+                xs = [v[i] for v in group]
+                ys = [v[j] for v in group]
                 correlations.append(
                     CorrelationRow(
                         f"ind{i + 1}.{suffix[role]}",
@@ -499,55 +479,24 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
                         _safe_spearman(xs, ys),
                     )
                 )
-
-    for metric_name, metric in (("PQO", lambda r: r.pqo), ("PQU", lambda r: r.pqu)):
-        for kind in (IndicatorKind.BIBLIOMETRIC, IndicatorKind.NON_BIBLIOMETRIC):
-            xs, ys = [], []
-            for code in codes:
-                f, a = full_by_code.get(code), assoc_by_code.get(code)
-                if f is None or a is None or f.kind is not kind:
-                    continue
-                x, y = metric(f), metric(a)
-                if math.isnan(x) or math.isnan(y):
-                    continue
-                xs.append(x)
-                ys.append(y)
+    for label in ("PQO", "PQU"):
+        for kind in IndicatorKind:
             correlations.append(
-                CorrelationRow(
-                    f"{metric_name}.F", f"{metric_name}.A", KIND_LABELS[kind], _safe_spearman(xs, ys)
-                )
+                _fa_correlation(label, label.lower(), KIND_LABELS[kind], pairs_of[kind])
             )
+    for kind in IndicatorKind:
+        correlations.append(_fa_correlation("PVR", "pvr", KIND_LABELS[kind], pairs_of[kind]))
+    correlations.append(_fa_correlation("PVR", "pvr", "all", pairs))
 
-    for group_kind in (IndicatorKind.BIBLIOMETRIC, IndicatorKind.NON_BIBLIOMETRIC, None):
-        xs, ys = [], []
-        for code in codes:
-            f, a = full_by_code.get(code), assoc_by_code.get(code)
-            if f is None or a is None:
-                continue
-            if group_kind is not None and f.kind is not group_kind:
-                continue
-            xs.append(f.pvr)
-            ys.append(a.pvr)
-        label = KIND_LABELS[group_kind] if group_kind is not None else "all"
-        correlations.append(CorrelationRow("PVR.F", "PVR.A", label, _safe_spearman(xs, ys)))
-
-    group_rates: list[GroupRateRow] = []
-    group_counts: dict[tuple[Role, IndicatorKind, Standing], tuple[int, int]] = {}
-    for role in (Role.FULL, Role.ASSOCIATE):
-        for kind in (IndicatorKind.BIBLIOMETRIC, IndicatorKind.NON_BIBLIOMETRIC):
-            members = [r for r in classified if r.role is role and r.kind is kind]
-            for standing in (Standing.OVER_MEDIAN, Standing.UNDER_MEDIAN):
-                subset = [r for r in members if r.standing is standing]
-                n = len(subset)
-                k = sum(1 for r in subset if r.qualified)
-                group_counts[(role, kind, standing)] = (k, n)
-                group_rates.append(GroupRateRow(role, kind, standing, n, k, _rate(k, n)))
-
+    group_rates = [
+        GroupRateRow(role, kind, standing, n, k, _rate(k, n))
+        for (role, kind, standing), (n, k) in group_counts.items()
+    ]
     rate_differences: list[RateDifferenceRow] = []
     for role in (Role.FULL, Role.ASSOCIATE):
         for standing in (Standing.OVER_MEDIAN, Standing.UNDER_MEDIAN):
-            kb, nb = group_counts[(role, IndicatorKind.BIBLIOMETRIC, standing)]
-            kn, nn = group_counts[(role, IndicatorKind.NON_BIBLIOMETRIC, standing)]
+            nb, kb = group_counts[role, IndicatorKind.BIBLIOMETRIC, standing]
+            nn, kn = group_counts[role, IndicatorKind.NON_BIBLIOMETRIC, standing]
             if nb and nn:
                 diff, low, high = proportion_diff_ci(kb, nb, kn, nn)
             else:
@@ -556,21 +505,15 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
                 RateDifferenceRow(role, standing, _rate(kb, nb), _rate(kn, nn), diff, low, high)
             )
 
-    census_sets = index.top_level()
-    census = zero_median_census(census_sets)
     tag_rows: list[MedianTagRow] = []
     violations = [0, 0, 0]
     tag_counts: dict[MedianTag, list[int]] = {tag: [0, 0] for tag in MedianTag}
-    for code in sorted({c for c, _ in top_level}):
-        full = top_level.get((code, Role.FULL))
-        assoc = top_level.get((code, Role.ASSOCIATE))
-        if full is None or assoc is None:
-            continue
+    for full, assoc in median_pairs:
         tag = tag_median_pair(full, assoc)
         kind_slot = 0 if full.kind is IndicatorKind.BIBLIOMETRIC else 1
         tag_counts[tag][kind_slot] += 1
         if tag is not MedianTag.NONE:
-            tag_rows.append(MedianTagRow(code, full.kind, tag))
+            tag_rows.append(MedianTagRow(full.discipline.code, full.kind, tag))
         for i in range(3):
             if full.as_tuple()[i] < assoc.as_tuple()[i]:
                 violations[i] += 1
@@ -582,11 +525,13 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     min_median_rows: list[MinMedianRow] = []
     min_counts = {Role.FULL: [0, 0, 0], Role.ASSOCIATE: [0, 0, 0]}
     disciplines_seen = {Role.FULL: 0, Role.ASSOCIATE: 0}
-    for (code, role), apps in sorted(by_discipline_role.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
+    for (code, role), positions in groups:
         m = top_level.get((code, role))
         if m is None:
             continue
-        qualified_vectors = [a.indicators.as_tuple() for a in apps if a.qualified]
+        qualified_vectors = [
+            applications[i].indicators.as_tuple() for i in positions if applications[i].qualified
+        ]
         disciplines_seen[role] += 1
         for i in range(3):
             min_value = min((v[i] for v in qualified_vectors), default=_NAN)
@@ -608,13 +553,11 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     for rank, row in enumerate(sorted(ranked, key=lambda r: (-r.pq, r.discipline))[:5], start=1):
         extreme.append(ExtremePqRow("top", rank, row.discipline, row.pq))
 
-    distinct_names = len({(a.last_name, a.first_name) for a in data.applications})
-
     return RoundReport(
-        n_applications=len(data.applications),
-        n_qualified=sum(1 for a in data.applications if a.qualified),
-        n_disciplines=len(codes),
-        distinct_names=distinct_names,
+        n_applications=len(applications),
+        n_qualified=sum(1 for a in applications if a.qualified),
+        n_disciplines=len(pooled_rows),
+        distinct_names=len({(a.last_name, a.first_name) for a in applications}),
         area_rows=tuple(area_rows),
         discipline_role_rows=tuple(role_rows),
         discipline_pooled_rows=tuple(pooled_rows),
@@ -622,7 +565,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         correlations=tuple(correlations),
         group_rates=tuple(group_rates),
         rate_differences=tuple(rate_differences),
-        median_census=census,
+        median_census=zero_median_census(index.top_level()),
         median_tags=tuple(tag_rows),
         median_tag_counts=tuple(tag_count_rows),
         component_violations=(violations[0], violations[1], violations[2]),
@@ -664,65 +607,44 @@ def _jsonable(value):
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One CSV file; a cell is quoted only when it holds a comma, a quote or a newline."""
     try:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_cell(v) for v in row] for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _tables(report: RoundReport) -> dict[str, tuple[list[str], list[list]]]:
-    """Every report section as (header, rows), keyed by table name."""
-    tables: dict[str, tuple[list[str], list[list]]] = {}
+def _dataclass_table(cls: type, rows: Sequence) -> tuple[list[str], list[tuple]]:
+    """A table whose columns are the fields of the row dataclass, in declaration order."""
+    header = [f.name for f in fields(cls)]
+    row_of = operator.attrgetter(*header)
+    return header, [row_of(r) for r in rows]
 
+
+def _tables(report: RoundReport) -> dict[str, tuple[list[str], list]]:
+    """Every report section as (header, rows), keyed by table name."""
+    tables = {
+        name: _dataclass_table(cls, rows)
+        for name, cls, rows in (
+            ("area_table", AreaRow, report.area_rows),
+            ("discipline_role_table", DisciplineRoleRow, report.discipline_role_rows),
+            ("discipline_pooled_table", DisciplinePooledRow, report.discipline_pooled_rows),
+            ("group_rates", GroupRateRow, report.group_rates),
+            ("rate_differences", RateDifferenceRow, report.rate_differences),
+            ("median_tags", MedianTagRow, report.median_tags),
+            ("median_tag_counts", TagCountRow, report.median_tag_counts),
+            ("min_qualified_table", MinQualifiedRow, report.min_qualified),
+            ("classified_applications", ClassifiedApplication, report.classified),
+            ("extreme_pq", ExtremePqRow, report.extreme_pq),
+            ("fig_min_median_scatter", MinMedianRow, report.min_median_rows),
+        )
+    }
     tables["totals"] = (
         ["n_applications", "n_qualified", "n_disciplines", "distinct_names"],
         [[report.n_applications, report.n_qualified, report.n_disciplines, report.distinct_names]],
-    )
-    tables["area_table"] = (
-        [
-            "area", "acronym", "applications_full", "applications_associate",
-            "applications_total", "qualified_full", "qualified_associate",
-            "qualified_total", "pq_full", "pq_associate", "pq_total",
-        ],
-        [
-            [
-                r.area, r.acronym, r.applications_full, r.applications_associate,
-                r.applications_total, r.qualified_full, r.qualified_associate,
-                r.qualified_total, r.pq_full, r.pq_associate, r.pq_total,
-            ]
-            for r in report.area_rows
-        ],
-    )
-    tables["discipline_role_table"] = (
-        [
-            "discipline", "role", "kind", "applications", "qualified", "over_median",
-            "under_median", "qualified_over", "qualified_under", "pq", "pqo", "pqu",
-            "pvr", "dominating_pairs", "violating_pairs", "no_comparable_pairs",
-        ],
-        [
-            [
-                r.discipline, r.role, r.kind, r.applications, r.qualified, r.over_median,
-                r.under_median, r.qualified_over, r.qualified_under, r.pq, r.pqo, r.pqu,
-                r.pvr, r.dominating_pairs, r.violating_pairs, r.no_comparable_pairs,
-            ]
-            for r in report.discipline_role_rows
-        ],
-    )
-    tables["discipline_pooled_table"] = (
-        [
-            "discipline", "kind", "applications", "qualified", "over_median",
-            "under_median", "qualified_over", "qualified_under", "pq", "pqo", "pqu",
-        ],
-        [
-            [
-                r.discipline, r.kind, r.applications, r.qualified, r.over_median,
-                r.under_median, r.qualified_over, r.qualified_under, r.pq, r.pqo, r.pqu,
-            ]
-            for r in report.discipline_pooled_rows
-        ],
     )
     tables["summaries"] = (
         ["variable", "n", "min", "q1", "median", "q3", "max"],
@@ -741,26 +663,6 @@ def _tables(report: RoundReport) -> dict[str, tuple[list[str], list[list]]]:
             for c in report.correlations
         ],
     )
-    tables["group_rates"] = (
-        ["role", "kind", "standing", "applications", "qualified", "rate"],
-        [
-            [r.role, r.kind, r.standing, r.applications, r.qualified, r.rate]
-            for r in report.group_rates
-        ],
-    )
-    tables["rate_differences"] = (
-        [
-            "role", "standing", "rate_bibliometric", "rate_non_bibliometric",
-            "difference", "ci_low", "ci_high",
-        ],
-        [
-            [
-                r.role, r.standing, r.rate_bibliometric, r.rate_non_bibliometric,
-                r.difference, r.ci_low, r.ci_high,
-            ]
-            for r in report.rate_differences
-        ],
-    )
     tables["median_census"] = (
         ["role", "zero_components", "disciplines"],
         [
@@ -770,63 +672,22 @@ def _tables(report: RoundReport) -> dict[str, tuple[list[str], list[list]]]:
             ["associate", 2, report.median_census.associate_two_zero],
         ],
     )
-    tables["median_tags"] = (
-        ["discipline", "kind", "tag"],
-        [[r.discipline, r.kind, r.tag] for r in report.median_tags],
-    )
-    tables["median_tag_counts"] = (
-        ["tag", "bibliometric", "non_bibliometric", "total"],
-        [[r.tag, r.bibliometric, r.non_bibliometric, r.total] for r in report.median_tag_counts],
-    )
     tables["median_component_violations"] = (
         ["component", "full_below_associate"],
         [[i + 1, report.component_violations[i]] for i in range(3)],
-    )
-    tables["min_qualified_table"] = (
-        ["role", "disciplines", "above_m1", "above_m2", "above_m3"],
-        [
-            [r.role, r.disciplines, r.above_m1, r.above_m2, r.above_m3]
-            for r in report.min_qualified
-        ],
-    )
-    tables["classified_applications"] = (
-        [
-            "applicant_id", "discipline", "sub_discipline", "role", "kind",
-            "ind1", "ind2", "ind3", "exceeds", "standing", "qualified",
-        ],
-        [
-            [
-                r.applicant_id, r.discipline, r.sub_discipline, r.role, r.kind,
-                r.ind1, r.ind2, r.ind3, r.exceeds, r.standing, r.qualified,
-            ]
-            for r in report.classified
-        ],
-    )
-    tables["extreme_pq"] = (
-        ["position", "rank", "discipline", "pq"],
-        [[r.position, r.rank, r.discipline, r.pq] for r in report.extreme_pq],
     )
     tables["fig_na_hist"] = (
         ["bin_low", "bin_high", "disciplines"],
         [[b.low, b.high, b.count] for b in report.na_histogram],
     )
-
-    full_rows = {r.discipline: r for r in report.discipline_role_rows if r.role is Role.FULL}
-    assoc_rows = {r.discipline: r for r in report.discipline_role_rows if r.role is Role.ASSOCIATE}
-    paired = sorted(set(full_rows) & set(assoc_rows))
+    pairs = _fa_pairs(report.discipline_role_rows, operator.attrgetter("discipline"))
     tables["fig_na_scatter"] = (
         ["discipline", "na_full", "na_associate"],
-        [[code, full_rows[code].applications, assoc_rows[code].applications] for code in paired],
+        [[f.discipline, f.applications, a.applications] for f, a in pairs],
     )
     tables["fig_conditional_scatter"] = (
         ["discipline", "kind", "pqo_full", "pqo_associate", "pqu_full", "pqu_associate"],
-        [
-            [
-                code, full_rows[code].kind, full_rows[code].pqo, assoc_rows[code].pqo,
-                full_rows[code].pqu, assoc_rows[code].pqu,
-            ]
-            for code in paired
-        ],
+        [[f.discipline, f.kind, f.pqo, a.pqo, f.pqu, a.pqu] for f, a in pairs],
     )
     tables["fig_pq_bars"] = (
         ["discipline", "pq"],
@@ -841,15 +702,8 @@ def _tables(report: RoundReport) -> dict[str, tuple[list[str], list[list]]]:
     tables["fig_pvr_bars"] = (
         ["discipline", "pvr_full", "pvr_associate"],
         [
-            [code, full_rows[code].pvr, assoc_rows[code].pvr]
-            for code in sorted(paired, key=lambda c: (-full_rows[c].pvr, c))
-        ],
-    )
-    tables["fig_min_median_scatter"] = (
-        ["discipline", "role", "component", "median", "min_qualified"],
-        [
-            [r.discipline, r.role, r.component, r.median, r.min_qualified]
-            for r in report.min_median_rows
+            [f.discipline, f.pvr, a.pvr]
+            for f, a in sorted(pairs, key=lambda p: (-p[0].pvr, p[0].discipline))
         ],
     )
     return tables
@@ -861,6 +715,8 @@ def emit(report: RoundReport, format: str, target: str | Path) -> list[Path]:
     format "csv" produces one file per table; "json" produces a single
     report.json with the same tables keyed by name.
     """
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown format {format!r}, expected csv or json")
     out_dir = Path(target)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -874,7 +730,7 @@ def emit(report: RoundReport, format: str, target: str | Path) -> list[Path]:
             path = out_dir / f"{name}.csv"
             _write_csv(path, header, rows)
             written.append(path)
-    elif format == "json":
+    else:
         document = {
             name: {
                 "columns": header,
@@ -890,6 +746,4 @@ def emit(report: RoundReport, format: str, target: str | Path) -> list[Path]:
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc}") from exc
         written.append(path)
-    else:
-        raise ValueError(f"unknown format {format!r}, expected csv or json")
     return written

@@ -21,6 +21,7 @@ from asnqual.ingest import (
     write_medians,
     write_registry,
 )
+from asnqual.report import analyze_round
 from asnqual.synth import (
     ComponentModel,
     DecisionModel,
@@ -176,6 +177,18 @@ class TestParseApplications:
         )
         assert len(records) == 2
         assert diagnostics == []
+
+    def test_names_that_join_to_the_same_id_are_two_applicants(self):
+        records, diagnostics = parse_applications(
+            apps_csv("A|B,C,01/A1,,1,11,15,8,true", "A,B|C,01/A1,,1,1,1,1,false")
+        )
+        assert diagnostics == []
+        assert [r.applicant_id for r in records] == ["A|B|C", "A|B|C"]
+        medians, _ = parse_medians(medians_csv("01/A1,,1,B,10,13.2,7"))
+        report = analyze_round(RoundDataset(records, medians, load_default_registry()))
+        assert sorted(r.exceeds for r in report.classified) == [0, 3]
+        row = report.discipline_role_rows[0]
+        assert (row.over_median, row.under_median) == (1, 1)
 
     def test_unknown_discipline_is_a_hard_error(self):
         with pytest.raises(ValueError, match="not in the registry"):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import time
@@ -98,6 +99,24 @@ def small_round():
         MedianSet(DisciplineId.parse("13/A5"), Role.FULL, 3, 6, 2, NB),
     ]
     return RoundDataset(applications, medians, load_default_registry())
+
+
+def round_with_no_associate_under_median():
+    """small_round() plus 01/A2, whose associates are all over-median, so PQU.A is NaN."""
+    data = small_round()
+    extra = [
+        app("61", "01/A2", Role.FULL, (5, 5, 5), B, True),
+        app("62", "01/A2", Role.FULL, (1, 1, 1), B, False),
+        app("71", "01/A2", Role.ASSOCIATE, (5, 5, 5), B, True),
+        app("72", "01/A2", Role.ASSOCIATE, (4, 4, 4), B, False),
+    ]
+    medians = [
+        MedianSet(DisciplineId.parse("01/A2"), Role.FULL, 3, 3, 3, B),
+        MedianSet(DisciplineId.parse("01/A2"), Role.ASSOCIATE, 2, 2, 2, B),
+    ]
+    return RoundDataset(
+        list(data.applications) + extra, list(data.medians) + medians, data.registry
+    )
 
 
 def role_row(report, code, role):
@@ -252,6 +271,47 @@ class TestAnalyzeSmallRound:
             analyze_round(broken)
 
 
+class TestFullAssociatePairing:
+    """Correlations drop a pair holding a NaN, figure tables keep it, and a
+    discipline with one role is in neither."""
+
+    @pytest.fixture(scope="class")
+    def document(self, tmp_path_factory):
+        report = analyze_round(round_with_no_associate_under_median())
+        out = tmp_path_factory.mktemp("paired")
+        emit(report, "json", out)
+        return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+    @staticmethod
+    def correlation_n(document, name, group):
+        table = document["correlations"]
+        row = next(r for r in table["rows"] if r[:3] == [f"{name}.F", f"{name}.A", group])
+        return row[table["columns"].index("n")]
+
+    def test_correlations_drop_the_nan_pair(self, document):
+        assert self.correlation_n(document, "PQU", "bibliometric") == 1
+        assert self.correlation_n(document, "PQO", "bibliometric") == 2
+
+    def test_correlations_keep_the_discipline_when_its_metric_is_defined(self, document):
+        assert self.correlation_n(document, "NA", "all") == 3
+        assert self.correlation_n(document, "PVR", "all") == 3
+
+    def test_conditional_scatter_keeps_the_nan(self, document):
+        table = document["fig_conditional_scatter"]
+        row = next(r for r in table["rows"] if r[0] == "01/A2")
+        assert row[table["columns"].index("pqu_associate")] is None
+        assert row[table["columns"].index("pqu_full")] == 0
+
+    def test_one_role_discipline_is_never_paired(self, document):
+        for name in ("fig_na_scatter", "fig_conditional_scatter", "fig_pvr_bars"):
+            codes = sorted(r[0] for r in document[name]["rows"])
+            assert codes == ["01/A1", "01/A2", "10/A1"], name
+        for name in ("NA", "PQ", "PVR"):
+            assert self.correlation_n(document, name, "all") == 3
+        for name in ("M1", "PQO", "PQU", "PVR"):
+            assert self.correlation_n(document, name, "non-bibliometric") == 1
+
+
 class TestEmit:
     def test_csv_is_deterministic(self, tmp_path):
         report = analyze_round(small_round())
@@ -285,8 +345,10 @@ class TestEmit:
 
     def test_unknown_format_is_an_error(self, tmp_path):
         report = analyze_round(small_round())
+        target = tmp_path / "report"
         with pytest.raises(ValueError, match="unknown format"):
-            emit(report, "parquet", tmp_path)
+            emit(report, "parquet", target)
+        assert not target.exists()
 
     def test_empty_round_still_yields_headed_tables(self, tmp_path):
         report = analyze_round(RoundDataset([], [], load_default_registry()))
@@ -552,6 +614,30 @@ class TestCli:
         assert "--bin-width" in err
         assert "Traceback" not in err
         assert not (tmp_path / "report").exists()
+
+    def test_names_with_a_comma_or_a_quote_keep_their_columns(self, golden_dir, tmp_path):
+        with open(golden_dir / "applications.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[1][0] = "Rossi, Jr."
+        rows[2][1] = 'Anna "Nina"'
+        apps = tmp_path / "applications.csv"
+        with open(apps, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        out = tmp_path / "report"
+        code = main(
+            [
+                "analyze", "--applications", str(apps),
+                "--medians", str(golden_dir / "medians.csv"), "--out", str(out),
+            ]
+        )
+        assert code == 0
+        with open(out / "classified_applications.csv", encoding="utf-8", newline="") as handle:
+            table = list(csv.reader(handle))
+        assert len(table) == len(rows)
+        assert {len(row) for row in table} == {11}
+        ids = {row[0] for row in table[1:]}
+        assert f"Rossi, Jr.|{rows[1][1]}" in ids
+        assert f'{rows[2][0]}|Anna "Nina"' in ids
 
     def test_latin1_input_exits_1_with_file_and_line(self, golden_dir, tmp_path, capsys):
         lines = (golden_dir / "applications.csv").read_bytes().split(b"\n")
