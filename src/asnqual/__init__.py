@@ -29,6 +29,7 @@ from .ingest import (
     Diagnostic,
     DisciplineRegistryEntry,
     RoundDataset,
+    applicant_id,
     discipline_kind,
     load_default_registry,
     load_round,

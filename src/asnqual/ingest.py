@@ -203,6 +203,18 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"unknown boolean {raw!r}, expected true or false")
 
 
+def applicant_id(last: str, first: str) -> str:
+    """`last|first`, with `\\` and `|` inside a name escaped as `\\\\` and `\\|`.
+
+    The escapes keep the id unambiguous: `A|B, C` and `A, B|C` differ.
+    """
+    if "|" in last or "\\" in last:
+        last = last.replace("\\", "\\\\").replace("|", "\\|")
+    if "|" in first or "\\" in first:
+        first = first.replace("\\", "\\\\").replace("|", "\\|")
+    return f"{last}|{first}"
+
+
 def load_default_registry() -> list[DisciplineRegistryEntry]:
     """The complete 184-discipline registry shipped with the package."""
     data = resources.files("asnqual").joinpath("data/registry.csv").read_text("utf-8")
@@ -265,6 +277,9 @@ def parse_applications(
             first = row["first_name"].strip()
             if not last or not first:
                 raise ValueError("missing applicant name")
+            # a report CSV writes a bare \r unquoted, so the row would read back as two
+            if "\n" in last or "\r" in last or "\n" in first or "\r" in first:
+                raise ValueError("line break in applicant name")
         except ValueError as exc:
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
@@ -278,16 +293,16 @@ def parse_applications(
         except ValueError as exc:
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
-        applicant_id = f"{last}|{first}"
+        identity = applicant_id(last, first)
         key = (discipline.code, discipline.sub_discipline, role, last, first)
         if key in seen:
             raise ValueError(
-                f"line {line}: duplicate application for {applicant_id} "
+                f"line {line}: duplicate application for {identity} "
                 f"in {discipline.code} role {role.value}"
             )
         seen.add(key)
         records.append(
-            ApplicationRecord(applicant_id, last, first, discipline, role, vector, qualified)
+            ApplicationRecord(identity, last, first, discipline, role, vector, qualified)
         )
     return records, diagnostics
 

@@ -5,20 +5,25 @@ every table of the analysis pipeline: per-area and per-discipline
 qualification counts, five-number summaries, rank correlations, pooled
 conditional rates with bibliometric/non-bibliometric difference
 intervals, median anomaly tables, minimum-qualified-indicator counts,
-and plot-ready figure data.  emit writes the report as a directory of
-CSV files or as a single JSON document; byte output is deterministic
-for a fixed report.
+and plot-ready figure data.  The analysis runs on columns built in one walk
+over the applications.  emit writes the report as a directory of CSV files
+or as a single JSON document, formatting each table column by column; byte
+output is deterministic for a fixed report.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .dominance import pareto_violation_ratio
 from .indicators import IndicatorKind
@@ -33,13 +38,10 @@ from .stats import (
 )
 from .thresholds import (
     DisciplineId,
-    MedianIndex,
-    MedianSet,
     MedianTag,
     Role,
     Standing,
     ZeroMedianCensus,
-    exceeds_count,
     required_exceedances,
     tag_median_pair,
     zero_median_census,
@@ -64,6 +66,12 @@ KIND_LABELS = {
     IndicatorKind.BIBLIOMETRIC: "bibliometric",
     IndicatorKind.NON_BIBLIOMETRIC: "non-bibliometric",
 }
+# How every enum member is written, in CSV and in JSON.
+_LABELS = {**ROLE_LABELS, **KIND_LABELS, **{s: s.value for s in Standing}}
+_LABELS.update({t: t.value or "none" for t in MedianTag})
+_ROLE_KINDS = list(itertools.product(Role, IndicatorKind))
+# Rows per block of a CSV file: each block is formatted column by column.
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -204,6 +212,23 @@ class ClassifiedApplication:
     qualified: bool
 
 
+@dataclass(frozen=True, eq=False)
+class ClassifiedTable:
+    """The classified applications as one array per ClassifiedApplication field.
+
+    Rows are sorted by discipline, sub-discipline, role and applicant id;
+    iterating yields ClassifiedApplication rows.
+    """
+
+    columns: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[ClassifiedApplication]:
+        return map(ClassifiedApplication, *(column.tolist() for column in self.columns))
+
+
 @dataclass(frozen=True)
 class ExtremePqRow:
     position: str
@@ -238,7 +263,7 @@ class RoundReport:
     component_violations: tuple[int, int, int]
     min_qualified: tuple[MinQualifiedRow, ...]
     min_median_rows: tuple[MinMedianRow, ...]
-    classified: tuple[ClassifiedApplication, ...]
+    classified: ClassifiedTable
     extreme_pq: tuple[ExtremePqRow, ...]
     na_histogram: tuple[HistogramBin, ...]
     hist_bin_width: float
@@ -280,39 +305,14 @@ def _fa_correlation(label: str, field: str, group: str, pairs: Sequence[tuple]) 
 
 
 def _classify_all(
-    data: RoundDataset, index: MedianIndex
-) -> tuple[list[ClassifiedApplication], list[Standing]]:
-    """The sorted classified rows, and each application's standing in data.applications order."""
-    standings: list[Standing] = []
-    rows: list[ClassifiedApplication] = []
-    medians: dict[tuple[DisciplineId, Role], MedianSet] = {}
-    for app in data.applications:
-        m = medians.get((app.discipline, app.role))
-        if m is None:
-            m = medians[app.discipline, app.role] = index.resolve(app.discipline, app.role)
-        count = exceeds_count(app.indicators, m)
-        if count >= required_exceedances(m.kind):
-            standing = Standing.OVER_MEDIAN
-        else:
-            standing = Standing.UNDER_MEDIAN
-        standings.append(standing)
-        rows.append(
-            ClassifiedApplication(
-                app.applicant_id,
-                app.discipline.code,
-                app.discipline.sub_discipline or "",
-                app.role,
-                app.indicators.kind,
-                app.indicators.ind1,
-                app.indicators.ind2,
-                app.indicators.ind3,
-                count,
-                standing,
-                app.qualified,
-            )
-        )
-    rows.sort(key=lambda r: (r.discipline, r.sub_discipline, r.role.value, r.applicant_id))
-    return rows, standings
+    ind: np.ndarray, group: np.ndarray, medians: np.ndarray, required: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Thresholds each application strictly exceeds, and whether it is over-median.
+
+    ``medians`` and ``required`` hold one row per group.
+    """
+    exceeds = (ind > medians[group]).sum(axis=1)
+    return exceeds, exceeds >= required[group]
 
 
 def _na_histogram(na_values: Sequence[int], width: float) -> list[HistogramBin]:
@@ -355,49 +355,87 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         )
 
     applications = data.applications
-    # Positions in data.applications of each (discipline code, role) group.
-    members: dict[tuple[str, Role], list[int]] = {}
-    for i, app in enumerate(applications):
-        members.setdefault((app.discipline.code, app.role), []).append(i)
-    groups = sorted(members.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
-    na_by_code: dict[str, int] = {}
-    for (code, _), positions in groups:
-        na_by_code[code] = na_by_code.get(code, 0) + len(positions)
-    bins = _na_histogram(list(na_by_code.values()), hist_bin_width)
-
     index = data.median_index()
     kinds = data.registry_kinds()
-    classified, standings = _classify_all(data, index)
 
+    # One walk over the applications builds the round's columns.  A group is a
+    # discipline with its sub-discipline, and a role; it has one median set.
+    group_of: dict[tuple[DisciplineId, Role], int] = {}
+    group_list, ind_rows, qualified_list, ids, names = [], [], [], [], set()
+    for app in applications:
+        group_list.append(group_of.setdefault((app.discipline, app.role), len(group_of)))
+        v = app.indicators
+        ind_rows.append((v.ind1, v.ind2, v.ind3))
+        qualified_list.append(app.qualified)
+        ids.append(app.applicant_id)
+        names.add((app.last_name, app.first_name))
+    group = np.array(group_list, dtype=np.int32)
+    ind = np.array(ind_rows, dtype=float).reshape(-1, 3)
+    qualified = np.array(qualified_list, dtype=bool)
+
+    median_sets = [index.resolve(discipline, role) for discipline, role in group_of]
+    medians = np.array([m.as_tuple() for m in median_sets], dtype=float).reshape(-1, 3)
+    required = np.array([required_exceedances(m.kind) for m in median_sets], dtype=np.int64)
+    exceeds, over = _classify_all(ind, group, medians, required)
+
+    labels = [(d.code, d.sub_discipline or "", role, kinds[d.code]) for d, role in group_of]
+    # Rows in (discipline code, sub-discipline, role, applicant id) order, by
+    # two stable sorts: equal keys keep their dataset order.
+    group_keys = [(code, sub, role.value) for code, sub, role, _ in labels]
+    rank_of = {key: r for r, key in enumerate(sorted(set(group_keys)))}
+    rank = np.array([rank_of[key] for key in group_keys], dtype=np.intp)
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    order = by_id[np.argsort(rank[group[by_id]], kind="stable")]
+    sorted_ind = ind[order]
+    classified = ClassifiedTable((
+        np.array(ids, dtype=object)[order],
+        *np.array(labels, dtype=object).reshape(-1, 4)[group[order]].T,
+        *sorted_ind.T, exceeds[order],
+        np.where(over[order], Standing.OVER_MEDIAN, Standing.UNDER_MEDIAN), qualified[order],
+    ))
+
+    # Discipline-level groups (code, role), in code and role order; the
+    # positions of each are a slice of one stable argsort, in dataset order.
+    keys = sorted({(code, role) for code, _, role, _ in labels}, key=lambda k: (k[0], k[1].value))
+    key_id = {key: k for k, key in enumerate(keys)}
+    coarse = np.array([key_id[code, role] for code, _, role, _ in labels], dtype=np.int32)[group]
+    members = np.argsort(coarse, kind="stable")
+    sizes = np.bincount(coarse, minlength=len(keys))
+    starts = np.cumsum(sizes) - sizes
+    na_by_code: dict[str, int] = {}
+    for (code, _), size in zip(keys, sizes.tolist()):
+        na_by_code[code] = na_by_code.get(code, 0) + size
+    bins = _na_histogram(list(na_by_code.values()), hist_bin_width)
+
+    top_level = {(s.discipline.code, s.role): s for s in index.top_level()}
     role_rows: list[DisciplineRoleRow] = []
-    for (code, role), positions in groups:
-        apps = [applications[i] for i in positions]
-        over = [standings[i] is Standing.OVER_MEDIAN for i in positions]
-        qual = [a.qualified for a in apps]
-        rates = rates_from_flags(qual, over)
-        pvr_result = pareto_violation_ratio(apps)
-        qualified_over = sum(1 for q, o in zip(qual, over) if q and o)
-        qualified_under = sum(1 for q, o in zip(qual, over) if q and not o)
-        role_rows.append(
-            DisciplineRoleRow(
-                code,
-                role,
-                kinds[code],
-                rates.n_total,
-                sum(qual),
-                rates.n_over,
-                rates.n_under,
-                qualified_over,
-                qualified_under,
-                rates.pq,
-                rates.pqo,
-                rates.pqu,
-                pvr_result.ratio,
-                pvr_result.dominating_pairs,
-                pvr_result.violations,
-                pvr_result.no_comparable_pairs,
-            )
-        )
+    min_median_rows: list[MinMedianRow] = []
+    min_counts = {Role.FULL: [0, 0, 0], Role.ASSOCIATE: [0, 0, 0]}
+    disciplines_seen = {Role.FULL: 0, Role.ASSOCIATE: 0}
+    for (code, role), start, size in zip(keys, starts.tolist(), sizes.tolist()):
+        positions = members[start:start + size]
+        qual = qualified[positions]
+        rates = rates_from_flags(qual, over[positions])
+        pvr = pareto_violation_ratio([applications[i] for i in positions.tolist()])
+        n_qualified = int(np.count_nonzero(qual))
+        qualified_over = int(np.count_nonzero(qual & over[positions]))
+        role_rows.append(DisciplineRoleRow(
+            code, role, kinds[code], rates.n_total, n_qualified, rates.n_over, rates.n_under,
+            qualified_over, n_qualified - qualified_over, rates.pq, rates.pqo, rates.pqu,
+            pvr.ratio, pvr.dominating_pairs, pvr.violations, pvr.no_comparable_pairs,
+        ))
+        m = top_level.get((code, role))
+        if m is None:
+            continue
+        disciplines_seen[role] += 1
+        vectors = ind[positions[qual]]
+        # argmin takes the first of equal values, as min() does with 0.0 and -0.0
+        lows = vectors[vectors.argmin(axis=0), [0, 1, 2]].tolist() if len(vectors) else [_NAN] * 3
+        for i, (median, low) in enumerate(zip(m.as_tuple(), lows)):
+            min_median_rows.append(MinMedianRow(code, role, i + 1, median, low))
+            if low > median:
+                min_counts[role][i] += 1
+    min_qualified = [MinQualifiedRow(r, disciplines_seen[r], *min_counts[r]) for r in Role]
 
     # Per code: applications, qualified, over, under, qualified over, qualified under.
     pooled: dict[str, list[int]] = {}
@@ -439,22 +477,30 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         _summary_row("PVR.A", [r.pvr for r in role_rows if r.role is Role.ASSOCIATE]),
     ]
 
-    # One pass over the classified rows: indicator vectors per role and kind,
-    # and [applications, qualified] per role, kind and standing.
-    vectors = {(role, kind): [] for role in Role for kind in IndicatorKind}
-    group_counts = {
-        (role, kind, standing): [0, 0]
-        for role in Role for kind in IndicatorKind for standing in Standing
-    }
-    for r in classified:
-        vectors[r.role, r.kind].append((r.ind1, r.ind2, r.ind3))
-        counts = group_counts[r.role, r.kind, r.standing]
-        counts[0] += 1
-        counts[1] += r.qualified
+    # Applications and qualified per role x kind x standing, over-median first.
+    role_kind = np.array(
+        [_ROLE_KINDS.index((role, kind)) for _, _, role, kind in labels], dtype=np.intp
+    )[group]
+    cells = 2 * role_kind + ~over
+    n_cells = np.bincount(cells, minlength=8).tolist()
+    k_cells = np.bincount(cells[qualified], minlength=8).tolist()
+    group_rates = [
+        GroupRateRow(role, kind, standing, n, k, _rate(k, n))
+        for (role, kind, standing), n, k in zip(
+            itertools.product(Role, IndicatorKind, Standing), n_cells, k_cells
+        )
+    ]
+    counts = {(r.role, r.kind, r.standing): (r.applications, r.qualified) for r in group_rates}
+    rate_differences: list[RateDifferenceRow] = []
+    for role, standing in itertools.product(Role, Standing):
+        (nb, kb), (nn, kn) = (counts[role, kind, standing] for kind in IndicatorKind)
+        diff, low, high = proportion_diff_ci(kb, nb, kn, nn) if nb and nn else (_NAN,) * 3
+        rate_differences.append(
+            RateDifferenceRow(role, standing, _rate(kb, nb), _rate(kn, nn), diff, low, high)
+        )
 
     pairs = _fa_pairs(role_rows, operator.attrgetter("discipline"))
     pairs_of = {kind: [p for p in pairs if p[0].kind is kind] for kind in IndicatorKind}
-    top_level = {(s.discipline.code, s.role): s for s in index.top_level()}
     median_pairs = _fa_pairs(top_level.values(), lambda s: s.discipline.code)
     correlations = [
         _fa_correlation("NA", "applications", "all", pairs),
@@ -465,20 +511,13 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         for i in (1, 2, 3):
             correlations.append(_fa_correlation(f"M{i}", f"m{i}", KIND_LABELS[kind], kind_pairs))
     suffix = {Role.FULL: "F", Role.ASSOCIATE: "A"}
-    for role in (Role.FULL, Role.ASSOCIATE):
-        for kind in (IndicatorKind.BIBLIOMETRIC, IndicatorKind.NON_BIBLIOMETRIC):
-            group = vectors[role, kind]
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                xs = [v[i] for v in group]
-                ys = [v[j] for v in group]
-                correlations.append(
-                    CorrelationRow(
-                        f"ind{i + 1}.{suffix[role]}",
-                        f"ind{j + 1}.{suffix[role]}",
-                        KIND_LABELS[kind],
-                        _safe_spearman(xs, ys),
-                    )
-                )
+    sorted_role_kind = role_kind[order]
+    for rk, (role, kind) in enumerate(_ROLE_KINDS):
+        vectors = sorted_ind[sorted_role_kind == rk]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            x, y = (f"ind{c + 1}.{suffix[role]}" for c in (i, j))
+            result = _safe_spearman(vectors[:, i], vectors[:, j])
+            correlations.append(CorrelationRow(x, y, KIND_LABELS[kind], result))
     for label in ("PQO", "PQU"):
         for kind in IndicatorKind:
             correlations.append(
@@ -487,23 +526,6 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     for kind in IndicatorKind:
         correlations.append(_fa_correlation("PVR", "pvr", KIND_LABELS[kind], pairs_of[kind]))
     correlations.append(_fa_correlation("PVR", "pvr", "all", pairs))
-
-    group_rates = [
-        GroupRateRow(role, kind, standing, n, k, _rate(k, n))
-        for (role, kind, standing), (n, k) in group_counts.items()
-    ]
-    rate_differences: list[RateDifferenceRow] = []
-    for role in (Role.FULL, Role.ASSOCIATE):
-        for standing in (Standing.OVER_MEDIAN, Standing.UNDER_MEDIAN):
-            nb, kb = group_counts[role, IndicatorKind.BIBLIOMETRIC, standing]
-            nn, kn = group_counts[role, IndicatorKind.NON_BIBLIOMETRIC, standing]
-            if nb and nn:
-                diff, low, high = proportion_diff_ci(kb, nb, kn, nn)
-            else:
-                diff = low = high = _NAN
-            rate_differences.append(
-                RateDifferenceRow(role, standing, _rate(kb, nb), _rate(kn, nn), diff, low, high)
-            )
 
     tag_rows: list[MedianTagRow] = []
     violations = [0, 0, 0]
@@ -522,27 +544,6 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         for tag, counts in tag_counts.items()
     ]
 
-    min_median_rows: list[MinMedianRow] = []
-    min_counts = {Role.FULL: [0, 0, 0], Role.ASSOCIATE: [0, 0, 0]}
-    disciplines_seen = {Role.FULL: 0, Role.ASSOCIATE: 0}
-    for (code, role), positions in groups:
-        m = top_level.get((code, role))
-        if m is None:
-            continue
-        qualified_vectors = [
-            applications[i].indicators.as_tuple() for i in positions if applications[i].qualified
-        ]
-        disciplines_seen[role] += 1
-        for i in range(3):
-            min_value = min((v[i] for v in qualified_vectors), default=_NAN)
-            min_median_rows.append(MinMedianRow(code, role, i + 1, m.as_tuple()[i], min_value))
-            if qualified_vectors and min_value > m.as_tuple()[i]:
-                min_counts[role][i] += 1
-    min_qualified = [
-        MinQualifiedRow(role, disciplines_seen[role], *min_counts[role])
-        for role in (Role.FULL, Role.ASSOCIATE)
-    ]
-
     ranked = sorted(
         (r for r in pooled_rows if not math.isnan(r.pq)),
         key=lambda r: (r.pq, r.discipline),
@@ -554,78 +555,95 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         extreme.append(ExtremePqRow("top", rank, row.discipline, row.pq))
 
     return RoundReport(
-        n_applications=len(applications),
-        n_qualified=sum(1 for a in applications if a.qualified),
-        n_disciplines=len(pooled_rows),
-        distinct_names=len({(a.last_name, a.first_name) for a in applications}),
-        area_rows=tuple(area_rows),
-        discipline_role_rows=tuple(role_rows),
-        discipline_pooled_rows=tuple(pooled_rows),
-        summaries=tuple(summaries),
-        correlations=tuple(correlations),
-        group_rates=tuple(group_rates),
+        n_applications=len(applications), n_qualified=int(np.count_nonzero(qualified)),
+        n_disciplines=len(pooled_rows), distinct_names=len(names),
+        area_rows=tuple(area_rows), discipline_role_rows=tuple(role_rows),
+        discipline_pooled_rows=tuple(pooled_rows), summaries=tuple(summaries),
+        correlations=tuple(correlations), group_rates=tuple(group_rates),
         rate_differences=tuple(rate_differences),
         median_census=zero_median_census(index.top_level()),
-        median_tags=tuple(tag_rows),
-        median_tag_counts=tuple(tag_count_rows),
+        median_tags=tuple(tag_rows), median_tag_counts=tuple(tag_count_rows),
         component_violations=(violations[0], violations[1], violations[2]),
-        min_qualified=tuple(min_qualified),
-        min_median_rows=tuple(min_median_rows),
-        classified=tuple(classified),
-        extreme_pq=tuple(extreme),
-        na_histogram=tuple(bins),
+        min_qualified=tuple(min_qualified), min_median_rows=tuple(min_median_rows),
+        classified=classified, extreme_pq=tuple(extreme), na_histogram=tuple(bins),
         hist_bin_width=hist_bin_width,
     )
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if value == int(value) and abs(value) < 1e16:
-            return str(int(value))
-        return repr(value)
-    if isinstance(value, Role):
-        return ROLE_LABELS[value]
-    if isinstance(value, IndicatorKind):
-        return KIND_LABELS[value]
-    if isinstance(value, Standing):
-        return value.value
-    if isinstance(value, MedianTag):
-        return value.value or "none"
-    return str(value)
+def _float_cell(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        return None if math.isnan(value) else value
-    if isinstance(value, (Role, IndicatorKind, Standing, MedianTag)):
-        return _cell(value)
-    return value
+def _csv_rule(kind: type) -> Callable[[object], str]:
+    """How a CSV cell writes a value of this type."""
+    if issubclass(kind, bool):
+        return {True: "true", False: "false"}.__getitem__
+    if issubclass(kind, float):
+        return _float_cell
+    if issubclass(kind, (Role, IndicatorKind, Standing, MedianTag)):
+        return _LABELS.__getitem__
+    return str
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """One CSV file; a cell is quoted only when it holds a comma, a quote or a newline."""
+def _json_rule(kind: type) -> Callable[[object], object]:
+    """How report.json writes a value of this type; NaN becomes null."""
+    if issubclass(kind, float):
+        return lambda value: None if value != value else value
+    if issubclass(kind, (Role, IndicatorKind, Standing, MedianTag)):
+        return _LABELS.__getitem__
+    return lambda value: value
+
+
+def _format_column(column: Sequence, rule_for: Callable[[type], Callable]) -> list:
+    """Each value of a column through the rule for its type, picked once per type.
+
+    Arrays go through tolist(): numpy 2 writes repr(np.float64(x)) as "np.float64(x)".
+    """
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    rules = {kind: rule_for(kind) for kind in set(map(type, values))}
+    if len(rules) == 1:
+        return list(map(rules.popitem()[1], values))
+    return [rules[type(value)](value) for value in values]
+
+
+_csv_column = functools.partial(_format_column, rule_for=_csv_rule)
+_json_column = functools.partial(_format_column, rule_for=_json_rule)
+
+
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """One CSV file, formatted column by column in blocks of rows.
+
+    A cell is quoted only when it holds a comma, a quote or a newline.
+    """
+    n_rows = len(columns[0])
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows([_cell(v) for v in row] for row in rows)
+            for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+                block = [_csv_column(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
+                writer.writerows(zip(*block))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _dataclass_table(cls: type, rows: Sequence) -> tuple[list[str], list[tuple]]:
+def _row_table(header: list[str], rows: Iterable[Sequence]) -> tuple[list[str], list[Sequence]]:
+    """(header, columns) of a table given row by row."""
+    return header, list(zip(*rows)) or [() for _ in header]
+
+
+def _dataclass_table(cls: type, rows: Sequence) -> tuple[list[str], list[Sequence]]:
     """A table whose columns are the fields of the row dataclass, in declaration order."""
     header = [f.name for f in fields(cls)]
-    row_of = operator.attrgetter(*header)
-    return header, [row_of(r) for r in rows]
+    return _row_table(header, map(operator.attrgetter(*header), rows))
 
 
-def _tables(report: RoundReport) -> dict[str, tuple[list[str], list]]:
-    """Every report section as (header, rows), keyed by table name."""
+def _tables(report: RoundReport) -> dict[str, tuple[list[str], list[Sequence]]]:
+    """Every report section as (header, columns), keyed by table name."""
     tables = {
         name: _dataclass_table(cls, rows)
         for name, cls, rows in (
@@ -637,74 +655,60 @@ def _tables(report: RoundReport) -> dict[str, tuple[list[str], list]]:
             ("median_tags", MedianTagRow, report.median_tags),
             ("median_tag_counts", TagCountRow, report.median_tag_counts),
             ("min_qualified_table", MinQualifiedRow, report.min_qualified),
-            ("classified_applications", ClassifiedApplication, report.classified),
             ("extreme_pq", ExtremePqRow, report.extreme_pq),
             ("fig_min_median_scatter", MinMedianRow, report.min_median_rows),
         )
     }
-    tables["totals"] = (
+    tables["classified_applications"] = (
+        [f.name for f in fields(ClassifiedApplication)], report.classified.columns
+    )
+    tables["totals"] = _row_table(
         ["n_applications", "n_qualified", "n_disciplines", "distinct_names"],
         [[report.n_applications, report.n_qualified, report.n_disciplines, report.distinct_names]],
     )
-    tables["summaries"] = (
+    tables["summaries"] = _row_table(
         ["variable", "n", "min", "q1", "median", "q3", "max"],
-        [
-            [s.variable, s.n, *s.summary.as_tuple()]
-            for s in report.summaries
-        ],
+        [[s.variable, s.n, *s.summary.as_tuple()] for s in report.summaries],
     )
-    tables["correlations"] = (
+    tables["correlations"] = _row_table(
         ["x", "y", "group", "n", "rho", "ci_low", "ci_high", "p_value"],
         [
-            [
-                c.x_label, c.y_label, c.group, c.result.n, c.result.rho,
-                c.result.ci_low, c.result.ci_high, c.result.p_value_zero_corr,
-            ]
+            [c.x_label, c.y_label, c.group, c.result.n, c.result.rho, c.result.ci_low,
+             c.result.ci_high, c.result.p_value_zero_corr]
             for c in report.correlations
         ],
     )
-    tables["median_census"] = (
+    census = report.median_census
+    tables["median_census"] = _row_table(
         ["role", "zero_components", "disciplines"],
-        [
-            ["full", 1, report.median_census.full_one_zero],
-            ["full", 2, report.median_census.full_two_zero],
-            ["associate", 1, report.median_census.associate_one_zero],
-            ["associate", 2, report.median_census.associate_two_zero],
-        ],
+        [["full", 1, census.full_one_zero], ["full", 2, census.full_two_zero],
+         ["associate", 1, census.associate_one_zero], ["associate", 2, census.associate_two_zero]],
     )
     tables["median_component_violations"] = (
-        ["component", "full_below_associate"],
-        [[i + 1, report.component_violations[i]] for i in range(3)],
+        ["component", "full_below_associate"], [(1, 2, 3), report.component_violations]
     )
-    tables["fig_na_hist"] = (
+    tables["fig_na_hist"] = _row_table(
         ["bin_low", "bin_high", "disciplines"],
         [[b.low, b.high, b.count] for b in report.na_histogram],
     )
     pairs = _fa_pairs(report.discipline_role_rows, operator.attrgetter("discipline"))
-    tables["fig_na_scatter"] = (
+    tables["fig_na_scatter"] = _row_table(
         ["discipline", "na_full", "na_associate"],
         [[f.discipline, f.applications, a.applications] for f, a in pairs],
     )
-    tables["fig_conditional_scatter"] = (
+    tables["fig_conditional_scatter"] = _row_table(
         ["discipline", "kind", "pqo_full", "pqo_associate", "pqu_full", "pqu_associate"],
         [[f.discipline, f.kind, f.pqo, a.pqo, f.pqu, a.pqu] for f, a in pairs],
     )
-    tables["fig_pq_bars"] = (
+    rated = [r for r in report.discipline_pooled_rows if not math.isnan(r.pq)]
+    tables["fig_pq_bars"] = _row_table(
         ["discipline", "pq"],
-        [
-            [r.discipline, r.pq]
-            for r in sorted(
-                (r for r in report.discipline_pooled_rows if not math.isnan(r.pq)),
-                key=lambda r: (-r.pq, r.discipline),
-            )
-        ],
+        [[r.discipline, r.pq] for r in sorted(rated, key=lambda r: (-r.pq, r.discipline))],
     )
-    tables["fig_pvr_bars"] = (
+    pvr_order = sorted(pairs, key=lambda p: (-p[0].pvr, p[0].discipline))
+    tables["fig_pvr_bars"] = _row_table(
         ["discipline", "pvr_full", "pvr_associate"],
-        [
-            [f.discipline, f.pvr, a.pvr]
-            for f, a in sorted(pairs, key=lambda p: (-p[0].pvr, p[0].discipline))
-        ],
+        [[f.discipline, f.pvr, a.pvr] for f, a in pvr_order],
     )
     return tables
 
@@ -725,18 +729,13 @@ def emit(report: RoundReport, format: str, target: str | Path) -> list[Path]:
     tables = _tables(report)
     written: list[Path] = []
     if format == "csv":
-        for name in sorted(tables):
-            header, rows = tables[name]
-            path = out_dir / f"{name}.csv"
-            _write_csv(path, header, rows)
-            written.append(path)
+        for name, (header, columns) in sorted(tables.items()):
+            written.append(out_dir / f"{name}.csv")
+            _write_csv(written[-1], header, columns)
     else:
         document = {
-            name: {
-                "columns": header,
-                "rows": [[_jsonable(v) for v in row] for row in rows],
-            }
-            for name, (header, rows) in sorted(tables.items())
+            name: {"columns": header, "rows": [list(r) for r in zip(*map(_json_column, columns))]}
+            for name, (header, columns) in sorted(tables.items())
         }
         path = out_dir / "report.json"
         try:

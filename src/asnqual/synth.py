@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -27,8 +28,14 @@ import numpy as np
 
 from .dominance import ApplicationRecord
 from .indicators import IndicatorKind, IndicatorVector
-from .ingest import DisciplineRegistryEntry, RoundDataset, load_default_registry
+from .ingest import DisciplineRegistryEntry, RoundDataset, applicant_id, load_default_registry
 from .thresholds import DisciplineId, MedianSet, Role, Standing, classify, compute_median
+
+# Upper bounds on the sizes a config asks for, checked when it loads, so that a
+# mistyped count fails at once instead of exhausting memory: all applications
+# of a round, and the professor population drawn for each median set.
+MAX_APPLICATIONS = 1_000_000
+MAX_PROFESSORS = 100_000
 
 _FAMILIES = {
     "lognormal": 2,  # (mean, sigma) of the underlying normal, sigma > 0
@@ -48,6 +55,8 @@ class ComponentModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError(f"{self.family} parameters must be finite, got {self.params}")
         arity = _FAMILIES.get(self.family)
         if arity is None:
             raise ValueError(f"unknown distribution family {self.family!r}")
@@ -104,8 +113,10 @@ class DisciplinePlan:
             raise ValueError("exactly three component models are required")
         if self.n_full < 0 or self.n_associate < 0:
             raise ValueError("applicant counts must be nonnegative")
-        if self.professors < 1:
-            raise ValueError("professor population must be nonempty")
+        if not 1 <= self.professors <= MAX_PROFESSORS:
+            raise ValueError(
+                f"professor population must lie in [1, {MAX_PROFESSORS}], got {self.professors}"
+            )
         if not 0 <= self.flip_probability <= 1:
             raise ValueError("flip probability must lie in [0, 1]")
         if not 0 < self.relaxed_quantile < 1:
@@ -121,6 +132,9 @@ class SynthConfig:
         codes = [p.discipline for p in self.plans]
         if len(set(codes)) != len(codes):
             raise ValueError("duplicate discipline plans")
+        total = sum(p.n_full + p.n_associate for p in self.plans)
+        if total > MAX_APPLICATIONS:
+            raise ValueError(f"{total} applications in all, more than {MAX_APPLICATIONS}")
 
     def to_json(self) -> str:
         payload = {
@@ -146,7 +160,7 @@ class SynthConfig:
     def from_json(cls, text: str) -> SynthConfig:
         try:
             return cls._from_payload(json.loads(text))
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed synth config: {exc}") from exc
 
     @classmethod
@@ -159,11 +173,11 @@ class SynthConfig:
             plans.append(
                 DisciplinePlan(
                     discipline=raw["discipline"],
-                    n_full=int(raw["n_full"]),
-                    n_associate=int(raw["n_associate"]),
+                    n_full=_count(raw["n_full"], "n_full"),
+                    n_associate=_count(raw["n_associate"], "n_associate"),
                     components=components,
                     decision=DecisionModel(raw.get("decision", "strict-median")),
-                    professors=int(raw.get("professors", 101)),
+                    professors=_count(raw.get("professors", 101), "professors"),
                     flip_probability=float(raw.get("flip_probability", 0.0)),
                     relaxed_quantile=float(raw.get("relaxed_quantile", 0.5)),
                 )
@@ -175,7 +189,20 @@ class SynthConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> SynthConfig:
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            return cls.from_json(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _count(value: object, name: str) -> int:
+    """A whole-number count from a config; 2.0 passes, 2.5, true and "2" do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def default_synth_config() -> SynthConfig:
@@ -270,7 +297,7 @@ def synthesize_round(
                 first = "Synth"
                 applications.append(
                     ApplicationRecord(
-                        f"{last}|{first}", last, first, discipline, role, vector, qualified
+                        applicant_id(last, first), last, first, discipline, role, vector, qualified
                     )
                 )
     return RoundDataset(applications, medians, entries)

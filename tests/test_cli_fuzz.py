@@ -4,19 +4,26 @@ Whatever the applications and medians CSVs hold, `asnqual validate` and
 `asnqual analyze` return 0, 1 or 2, raise nothing and finish quickly.  The
 inputs are a small valid round put through the damage real exports show:
 truncation, mixed line endings, reordered headers, huge or non-finite
-numbers and duplicate keys.
+numbers, line breaks inside names and duplicate keys.  `asnqual synth`
+keeps the same contract under damaged configs: truncated JSON, wrong types,
+non-finite numbers and sizes past the caps.
 """
 
 import csv
 import io
+import json
+import math
 import tempfile
 import time
+from copy import deepcopy
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from asnqual.cli import main
+from asnqual.synth import MAX_APPLICATIONS, MAX_PROFESSORS, SynthConfig
 
 APPLICATIONS = [
     ["last_name", "first_name", "discipline", "sub_discipline", "role", "ind1", "ind2", "ind3", "qualified"],
@@ -44,6 +51,7 @@ HUGE = st.sampled_from(
     ["1e308", "-1e308", "1.8e308", "inf", "-inf", "nan", "NaN", "1" * 400, "9" * 400 + ".5", "1e-320", "-0"]
 )
 NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+NAME_COLUMNS = {"last_name", "first_name"}
 
 
 def csv_text(rows, newline="\n"):
@@ -66,6 +74,11 @@ def damaged_csv(draw, table):
         if draw(st.booleans()):
             copy[draw(st.sampled_from(numeric))] = "3"
         rows.insert(draw(st.integers(0, len(rows))), copy)
+    # line-break-in-name: a name holding \r or \n, which csv writes quoted or not
+    names = [c for c, name in enumerate(header) if name in NAME_COLUMNS]
+    if names and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.sampled_from(names))] = "Ro" + draw(NEWLINES) + "ssi"
     # reordered-header: permute the columns, or the header alone
     order = draw(st.permutations(range(len(header))))
     header = [header[c] for c in order]
@@ -106,6 +119,10 @@ def test_damaged_inputs_exit_0_1_or_2(applications, medians, fmt):
         analyzed = run_cli(["analyze", *args, "--out", str(Path(tmp) / "report"), "--format", fmt])
         # a round that validates is analyzed
         assert validated != 0 or analyzed == 0
+        if analyzed == 0 and fmt == "csv":
+            # every classified row reads back whole
+            with open(Path(tmp) / "report" / "classified_applications.csv", newline="") as handle:
+                assert {len(row) for row in csv.reader(handle)} == {11}
 
 
 def test_undamaged_round_passes():
@@ -115,3 +132,111 @@ def test_undamaged_round_passes():
         args = ["--applications", f"{tmp}/applications.csv", "--medians", f"{tmp}/medians.csv"]
         assert main(["validate", *args]) == 0
         assert main(["analyze", *args, "--out", f"{tmp}/report"]) == 0
+
+
+@pytest.mark.parametrize("name", ["Ro\rssi", "Ro\nssi", "Ro\r\nssi"])
+def test_line_break_in_a_name_is_row_damage(tmp_path, capsys, name):
+    text = csv_text(APPLICATIONS) + f'"{name}",Maria,01/A1,,1,1,1,1,true\n'
+    (tmp_path / "applications.csv").write_text(text, encoding="utf-8", newline="")
+    (tmp_path / "medians.csv").write_text(csv_text(MEDIANS), encoding="utf-8", newline="")
+    args = ["--applications", str(tmp_path / "applications.csv"),
+            "--medians", str(tmp_path / "medians.csv")]
+    assert main(["validate", *args]) == 1
+    # the quoted row spans lines 13 and 14; the diagnostic names where it ends
+    assert "line 14: error: line break in applicant name" in capsys.readouterr().out
+    assert main(["analyze", *args, "--out", str(tmp_path / "report")]) == 0
+    with open(tmp_path / "report" / "classified_applications.csv", newline="") as handle:
+        assert len(list(csv.reader(handle))) == len(APPLICATIONS)
+
+
+PLANS = [
+    {
+        "discipline": "01/A1", "n_full": 3, "n_associate": 4, "professors": 11,
+        "components": [{"family": "gamma", "params": [2.0, 1.5]},
+                       {"family": "poisson", "params": [3.0]},
+                       {"family": "uniform", "params": [0.0, 5.0]}],
+        "decision": "noisy-threshold", "flip_probability": 0.1, "relaxed_quantile": 0.5,
+    },
+    {
+        "discipline": "13/A5", "n_full": 2, "n_associate": 0, "professors": 5,
+        "components": [{"family": "lognormal", "params": [1.0, 0.5]},
+                       {"family": "constant", "params": [0.0]},
+                       {"family": "poisson", "params": [1.0]}],
+        "decision": "relaxed", "relaxed_quantile": 0.6,
+    },
+]
+WRONG = st.sampled_from(
+    [None, True, False, "3", "gamma", [], [1.0], {}, 2.5, 2.0, -1, 0, math.nan, math.inf,
+     -math.inf, 1e308, 10**30]
+)
+# Past the caps, and only where a cap applies, so that a value the check
+# accepts stays small.
+PAST_CAP = {"n_full": MAX_APPLICATIONS + 1, "n_associate": MAX_APPLICATIONS + 1,
+            "professors": MAX_PROFESSORS + 1}
+
+
+@st.composite
+def damaged_config(draw):
+    plans = deepcopy(PLANS)
+    for _ in range(draw(st.integers(0, 2))):
+        params = draw(st.sampled_from(draw(st.sampled_from(plans))["components"]))["params"]
+        params[draw(st.integers(0, len(params) - 1))] = draw(WRONG)
+    for _ in range(draw(st.integers(0, 3))):
+        plan = draw(st.sampled_from(plans))
+        key = draw(st.sampled_from(sorted(plan)))
+        if key in PAST_CAP and draw(st.booleans()):
+            plan[key] = PAST_CAP[key]
+        else:
+            plan[key] = draw(WRONG)
+    text = json.dumps({"plans": plans})
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@given(damaged_config())
+def test_damaged_synth_configs_exit_0_1_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "round"
+        synthesized = run_cli(["synth", "--config", str(config), "--seed", "3", "--out", str(out)])
+        if synthesized == 0:
+            args = ["--applications", str(out / "applications.csv"),
+                    "--medians", str(out / "medians.csv")]
+            assert run_cli(["validate", *args]) == 0
+
+
+def plan_config(**sizes):
+    return json.dumps({"plans": [{**PLANS[0], **sizes}]})
+
+
+def test_sizes_at_the_caps_load():
+    # the check only: nothing is drawn
+    config = SynthConfig.from_json(
+        plan_config(n_full=MAX_APPLICATIONS - 7, n_associate=7, professors=MAX_PROFESSORS)
+    )
+    assert config.plans[0].n_full + config.plans[0].n_associate == MAX_APPLICATIONS
+
+
+@pytest.mark.parametrize("sizes", [
+    {"n_full": MAX_APPLICATIONS - 6, "n_associate": 7},
+    {"professors": MAX_PROFESSORS + 1},
+    {"n_full": 2.5}, {"n_associate": True}, {"professors": "11"},
+    {"n_full": math.nan}, {"n_full": math.inf},
+])
+def test_bad_sizes_exit_1_naming_the_config(tmp_path, capsys, sizes):
+    config = tmp_path / "config.json"
+    config.write_text(plan_config(**sizes), encoding="utf-8")
+    started = time.perf_counter()
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "round")]) == 1
+    assert time.perf_counter() - started < 5.0
+    assert f"error: {config}: " in capsys.readouterr().err
+    assert not (tmp_path / "round").exists()
+
+
+def test_caps_span_all_plans():
+    second = {**PLANS[1], "n_full": MAX_APPLICATIONS // 2 + 1, "n_associate": 0}
+    first = {**PLANS[0], "n_full": MAX_APPLICATIONS // 2, "n_associate": 0}
+    with pytest.raises(ValueError, match="applications in all"):
+        SynthConfig.from_json(json.dumps({"plans": [first, second]}))

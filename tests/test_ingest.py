@@ -11,6 +11,7 @@ from asnqual.ingest import (
     NON_BIBLIOMETRIC_EXCEPTIONS,
     DisciplineRegistryEntry,
     RoundDataset,
+    applicant_id,
     discipline_kind,
     load_default_registry,
     load_round,
@@ -183,7 +184,10 @@ class TestParseApplications:
             apps_csv("A|B,C,01/A1,,1,11,15,8,true", "A,B|C,01/A1,,1,1,1,1,false")
         )
         assert diagnostics == []
-        assert [r.applicant_id for r in records] == ["A|B|C", "A|B|C"]
+        # `\` and `|` inside a name are escaped, so the two ids differ
+        assert [r.applicant_id for r in records] == ["A\\|B|C", "A|B\\|C"]
+        # escaping `|` alone would give both of these `\|\|a`
+        assert applicant_id("\\", "|a") != applicant_id("|\\", "a")
         medians, _ = parse_medians(medians_csv("01/A1,,1,B,10,13.2,7"))
         report = analyze_round(RoundDataset(records, medians, load_default_registry()))
         assert sorted(r.exceeds for r in report.classified) == [0, 3]
