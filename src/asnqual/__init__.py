@@ -26,6 +26,7 @@ from .indicators import (
 )
 from .ingest import (
     AREA_ACRONYMS,
+    ApplicationTable,
     Diagnostic,
     DisciplineRegistryEntry,
     RoundDataset,

@@ -100,15 +100,20 @@ def _dominance_blocks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, ge & ~le
 
 
-def pareto_violation_ratio(apps: Sequence[ApplicationRecord]) -> PvrResult:
+def pareto_violation_ratio(
+    apps: Sequence[ApplicationRecord] | np.ndarray, qualified: np.ndarray | None = None
+) -> PvrResult:
     """Fraction of dominating pairs (p, q) where p was denied but q qualified.
 
-    All records must belong to one (discipline, role) group.  The n x n
-    dominance matrix is never held whole: it is built and counted one row
-    block at a time, so the work is O(n^2) comparisons and the extra memory
-    O(block x n), a few boolean matrices of about ``_BLOCK_CELLS`` cells.
+    Takes the records of one (discipline, role) group, or the group's n x 3
+    indicator array and its qualified flags.  The n x n dominance matrix is
+    never held whole: it is built and counted one row block at a time, so
+    the work is O(n^2) comparisons and the extra memory O(block x n), a few
+    boolean matrices of about ``_BLOCK_CELLS`` cells.
     """
-    values, qualified = _group_arrays(apps)
+    values = apps
+    if qualified is None:
+        values, qualified = _group_arrays(apps)
     dominating = violating = 0
     for lo, dom in _dominance_blocks(values):
         dominating += int(np.count_nonzero(dom))

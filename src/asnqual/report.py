@@ -5,8 +5,8 @@ every table of the analysis pipeline: per-area and per-discipline
 qualification counts, five-number summaries, rank correlations, pooled
 conditional rates with bibliometric/non-bibliometric difference
 intervals, median anomaly tables, minimum-qualified-indicator counts,
-and plot-ready figure data.  The analysis runs on columns built in one walk
-over the applications.  emit writes the report as a directory of CSV files
+and plot-ready figure data.  The analysis runs on the columns of the
+dataset's ApplicationTable.  emit writes the report as a directory of CSV files
 or as a single JSON document, formatting each table column by column; byte
 output is deterministic for a fixed report.
 """
@@ -37,7 +37,6 @@ from .stats import (
     spearman_rho,
 )
 from .thresholds import (
-    DisciplineId,
     MedianTag,
     Role,
     Standing,
@@ -354,36 +353,24 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
             f"got {hist_bin_width!r}"
         )
 
-    applications = data.applications
+    table = data.applications
     index = data.median_index()
     kinds = data.registry_kinds()
+    group, ind, qualified = table.group, table.ind, table.qualified
 
-    # One walk over the applications builds the round's columns.  A group is a
-    # discipline with its sub-discipline, and a role; it has one median set.
-    group_of: dict[tuple[DisciplineId, Role], int] = {}
-    group_list, ind_rows, qualified_list, ids, names = [], [], [], [], set()
-    for app in applications:
-        group_list.append(group_of.setdefault((app.discipline, app.role), len(group_of)))
-        v = app.indicators
-        ind_rows.append((v.ind1, v.ind2, v.ind3))
-        qualified_list.append(app.qualified)
-        ids.append(app.applicant_id)
-        names.add((app.last_name, app.first_name))
-    group = np.array(group_list, dtype=np.int32)
-    ind = np.array(ind_rows, dtype=float).reshape(-1, 3)
-    qualified = np.array(qualified_list, dtype=bool)
-
-    median_sets = [index.resolve(discipline, role) for discipline, role in group_of]
+    # A group (a discipline with its sub-discipline, a role and a kind) has one median set.
+    median_sets = [index.resolve(discipline, role) for discipline, role, _ in table.groups]
     medians = np.array([m.as_tuple() for m in median_sets], dtype=float).reshape(-1, 3)
     required = np.array([required_exceedances(m.kind) for m in median_sets], dtype=np.int64)
     exceeds, over = _classify_all(ind, group, medians, required)
 
-    labels = [(d.code, d.sub_discipline or "", role, kinds[d.code]) for d, role in group_of]
+    labels = [(d.code, d.sub_discipline or "", role, kinds[d.code]) for d, role, _ in table.groups]
     # Rows in (discipline code, sub-discipline, role, applicant id) order, by
     # two stable sorts: equal keys keep their dataset order.
     group_keys = [(code, sub, role.value) for code, sub, role, _ in labels]
     rank_of = {key: r for r, key in enumerate(sorted(set(group_keys)))}
     rank = np.array([rank_of[key] for key in group_keys], dtype=np.intp)
+    ids = table.ids
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
     order = by_id[np.argsort(rank[group[by_id]], kind="stable")]
     sorted_ind = ind[order]
@@ -416,7 +403,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         positions = members[start:start + size]
         qual = qualified[positions]
         rates = rates_from_flags(qual, over[positions])
-        pvr = pareto_violation_ratio([applications[i] for i in positions.tolist()])
+        pvr = pareto_violation_ratio(ind[positions], qual)
         n_qualified = int(np.count_nonzero(qual))
         qualified_over = int(np.count_nonzero(qual & over[positions]))
         role_rows.append(DisciplineRoleRow(
@@ -555,8 +542,8 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         extreme.append(ExtremePqRow("top", rank, row.discipline, row.pq))
 
     return RoundReport(
-        n_applications=len(applications), n_qualified=int(np.count_nonzero(qualified)),
-        n_disciplines=len(pooled_rows), distinct_names=len(names),
+        n_applications=len(table), n_qualified=int(np.count_nonzero(qualified)),
+        n_disciplines=len(pooled_rows), distinct_names=len(set(zip(table.last, table.first))),
         area_rows=tuple(area_rows), discipline_role_rows=tuple(role_rows),
         discipline_pooled_rows=tuple(pooled_rows), summaries=tuple(summaries),
         correlations=tuple(correlations), group_rates=tuple(group_rates),

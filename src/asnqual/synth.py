@@ -26,10 +26,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .dominance import ApplicationRecord
 from .indicators import IndicatorKind, IndicatorVector
-from .ingest import DisciplineRegistryEntry, RoundDataset, applicant_id, load_default_registry
-from .thresholds import DisciplineId, MedianSet, Role, Standing, classify, compute_median
+from .ingest import (
+    ApplicationTable,
+    DisciplineRegistryEntry,
+    RoundDataset,
+    applicant_id,
+    load_default_registry,
+)
+from .thresholds import DisciplineId, MedianSet, Role, compute_median, required_exceedances
 
 # Upper bounds on the sizes a config asks for, checked when it loads, so that a
 # mistyped count fails at once instead of exhausting memory: all applications
@@ -238,12 +243,10 @@ def default_synth_config() -> SynthConfig:
 
 
 def _decide(
-    plan: DisciplinePlan,
-    vectors: list[IndicatorVector],
-    medians: MedianSet,
-    rng: np.random.Generator,
-) -> list[bool]:
-    strict = [classify(v, medians) is Standing.OVER_MEDIAN for v in vectors]
+    plan: DisciplinePlan, ind: np.ndarray, medians: MedianSet, rng: np.random.Generator
+) -> np.ndarray:
+    """The qualified flags of one group's n x 3 indicators."""
+    strict = (ind > medians.as_tuple()).sum(axis=1) >= required_exceedances(medians.kind)
     if plan.decision is DecisionModel.STRICT_MEDIAN:
         return strict
     if plan.decision is DecisionModel.NOISY_THRESHOLD:
@@ -251,16 +254,12 @@ def _decide(
         # the strict model exactly.
         if plan.flip_probability == 0.0:
             return strict
-        flips = rng.random(len(vectors)) < plan.flip_probability
-        return [s ^ bool(f) for s, f in zip(strict, flips)]
+        return strict ^ (rng.random(len(ind)) < plan.flip_probability)
     scales = [m if m > 0 else 1.0 for m in medians.as_tuple()]
-    scores = np.array(
-        [sum(value / scale for value, scale in zip(v.as_tuple(), scales)) for v in vectors]
-    )
+    scores = ind[:, 0] / scales[0] + ind[:, 1] / scales[1] + ind[:, 2] / scales[2]
     if scores.size == 0:
-        return []
-    threshold = float(np.quantile(scores, plan.relaxed_quantile))
-    return [bool(s > threshold) for s in scores]
+        return strict
+    return scores > np.quantile(scores, plan.relaxed_quantile)
 
 
 def synthesize_round(
@@ -272,9 +271,11 @@ def synthesize_round(
     entries = list(registry) if registry is not None else load_default_registry()
     kinds = {e.discipline.code: e.kind for e in entries}
     rng = np.random.default_rng(seed)
-    applications: list[ApplicationRecord] = []
     medians: list[MedianSet] = []
-    counter = 0
+    groups: list[tuple[DisciplineId, Role, IndicatorKind]] = []
+    sizes: list[int] = []
+    indicators: list[np.ndarray] = []
+    decisions: list[np.ndarray] = []
     for plan in config.plans:
         kind = kinds.get(plan.discipline)
         if kind is None:
@@ -285,19 +286,21 @@ def synthesize_round(
             m1, m2, m3 = (compute_median(values) for values in professor_values)
             median_set = MedianSet(discipline, role, m1, m2, m3, kind)
             medians.append(median_set)
-            samples = [c.sample(rng, n) for c in plan.components]
-            vectors = [
-                IndicatorVector(samples[0][i], samples[1][i], samples[2][i], kind)
-                for i in range(n)
-            ]
-            decisions = _decide(plan, vectors, median_set, rng)
-            for vector, qualified in zip(vectors, decisions):
-                counter += 1
-                last = f"Applicant-{counter:05d}"
-                first = "Synth"
-                applications.append(
-                    ApplicationRecord(
-                        applicant_id(last, first), last, first, discipline, role, vector, qualified
-                    )
-                )
-    return RoundDataset(applications, medians, entries)
+            ind = np.column_stack([c.sample(rng, n) for c in plan.components])
+            damaged = ~(np.isfinite(ind) & (ind >= 0)).all(axis=1)
+            if damaged.any():
+                # the vector of the first damaged row raises, naming its component
+                IndicatorVector(*ind[damaged.argmax()].tolist(), kind)
+            decisions.append(_decide(plan, ind, median_set, rng))
+            indicators.append(ind)
+            groups.append((discipline, role, kind))
+            sizes.append(n)
+    last = [f"Applicant-{k:05d}" for k in range(1, sum(sizes) + 1)]
+    first = ["Synth"] * len(last)
+    table = ApplicationTable.from_rows(
+        list(map(applicant_id, last, first)), last, first, groups,
+        np.repeat(np.arange(len(groups), dtype=np.int32), sizes),
+        np.concatenate(indicators) if indicators else [],
+        np.concatenate(decisions) if decisions else [],
+    )
+    return RoundDataset(table, medians, entries)

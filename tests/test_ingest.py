@@ -1,14 +1,17 @@
 import io
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from asnqual.dominance import pareto_violation_ratio
-from asnqual.indicators import IndicatorKind
+from asnqual.dominance import ApplicationRecord, pareto_violation_ratio
+from asnqual.indicators import IndicatorKind, IndicatorVector
 from asnqual.ingest import (
     AREA_ACRONYMS,
     BIBLIOMETRIC_EXCEPTIONS,
     NON_BIBLIOMETRIC_EXCEPTIONS,
+    ApplicationTable,
     DisciplineRegistryEntry,
     RoundDataset,
     applicant_id,
@@ -31,8 +34,10 @@ from asnqual.synth import (
     default_synth_config,
     synthesize_round,
 )
-from asnqual.thresholds import DisciplineId, MedianIndex, Role, Standing, classify
+from asnqual.thresholds import DisciplineId, MedianIndex, MedianSet, Role, Standing, classify
+from ingest_reference import reference_validate
 
+GOLDEN = Path(__file__).parent / "golden"
 APPS_HEADER = "last_name,first_name,discipline,sub_discipline,role,ind1,ind2,ind3,qualified\n"
 MEDIANS_HEADER = "discipline,sub_discipline,role,kind,m1,m2,m3\n"
 
@@ -209,6 +214,81 @@ class TestParseApplications:
         )
         assert records[0].discipline.sub_discipline == "13/A1-x"
 
+    @pytest.mark.parametrize(
+        "row, code",
+        [
+            ("Rossi,Maria,01/Z9x,,1,1,1,1,true", "discipline"),
+            ("Rossi,Maria,77/A1,,1,1,1,1,true", "discipline"),
+            ("Rossi,Maria,01/A1,,9,1,1,1,true", "role"),
+            ("Rossi,Maria,01/A1,,nan,1,1,1,true", "role"),
+            ("Rossi,Maria,01/A1,,1,1,,1,true", "number"),
+            ("Rossi,Maria,01/A1,,1,1,abc,1,true", "number"),
+            ("Rossi,Maria,01/A1,,1,11", "number"),
+            ("Rossi,Maria,01/A1,,1,1,1,1,maybe", "boolean"),
+            ("Rossi,Maria,01/A1,,1,1,1,1", "boolean"),
+            (" ,Maria,01/A1,,1,1,1,1,true", "name"),
+            ('"Ro\rssi",Maria,01/A1,,1,1,1,1,true', "name"),
+            ("Rossi,Maria,01/A1,,1,-1,1,1,true", "value"),
+            ("Rossi,Maria,01/A1,,1,1,-1e308,1,true", "value"),
+            ("Rossi,Maria,01/A1,,1,1,1,1.8e308,true", "value"),
+            ("Rossi,Maria,01/A1,,1,inf,1,1,true", "value"),
+            ("Rossi,Maria,01/A1,,1,1,NaN,1,true", "value"),
+            ("Rossi,Maria,01/A1,,1," + "1" * 400 + ",1,1,true", "value"),
+        ],
+    )
+    def test_a_skipped_row_names_the_check_it_failed(self, row, code):
+        records, diagnostics = parse_applications(apps_csv(row))
+        assert records == []
+        [diagnostic] = diagnostics
+        assert (diagnostic.line, diagnostic.severity, diagnostic.code) == (2, "error", code)
+        assert str(diagnostic) == f"line 2: error: {diagnostic.message}"
+
+    def test_rows_at_the_limits_are_kept(self):
+        records, diagnostics = parse_applications(
+            apps_csv("Rossi,Maria,01/A1,,1,1e308,1e-320,-0,true", "Bianchi,Luca,01/A1,, 2 ,1,1,1, TRUE ")
+        )
+        assert diagnostics == []
+        assert records[0].indicators.as_tuple() == (1e308, 1e-320, 0.0)
+        assert (records[1].role, records[1].qualified) == (Role.ASSOCIATE, True)
+
+
+class TestApplicationTable:
+    ROWS = (
+        "Rossi,Maria,01/A1,,1,11,15,6,true",
+        "Verdi,Anna,10/A1,10/A1-x,2,2,3,1,false",
+        "Bianchi,Luca,01/A1,,1,5,5,5,false",
+    )
+
+    def test_rows_are_records_built_on_demand(self):
+        table, _ = parse_applications(apps_csv(*self.ROWS))
+        records = list(table)
+        assert len(table) == 3 and len(table.groups) == 2
+        assert table.ind.shape == (3, 3) and table.group.dtype == np.int32
+        assert [table[i] for i in range(3)] == records
+        assert table[-1] == records[-1] and table[1:] == records[1:]
+        assert table[::-2] == records[::-2]
+        with pytest.raises(IndexError):
+            table[3]
+        assert table == records and table == tuple(records) and table != records[:2]
+        assert records[1].discipline.sub_discipline == "10/A1-x"
+        assert records[1].indicators.kind is IndicatorKind.NON_BIBLIOMETRIC
+        assert repr(table) == "ApplicationTable(3 applications in 2 groups)"
+
+    def test_records_round_trip(self):
+        table, _ = parse_applications(apps_csv(*self.ROWS))
+        again = ApplicationTable.from_records(table)
+        assert again == table
+        assert list(again.ids) == ["Rossi|Maria", "Verdi|Anna", "Bianchi|Luca"]
+        assert RoundDataset(list(table), [], []).applications == table
+
+    def test_a_group_whose_rows_are_all_skipped_is_dropped(self):
+        table, diagnostics = parse_applications(
+            apps_csv("Rossi,Maria,01/A1,,1,-1,1,1,true", "Verdi,Anna,10/A1,,2,2,3,1,false")
+        )
+        assert [d.code for d in diagnostics] == ["value"]
+        assert [(d.code, role) for d, role, _ in table.groups] == [("10/A1", Role.ASSOCIATE)]
+        assert table.group.tolist() == [0]
+
 
 class TestParseMedians:
     def test_fixture_of_four_rows(self):
@@ -272,6 +352,55 @@ class TestRoundDataset:
         sets, _ = parse_medians(medians_csv("01/A1,,1,NB,10,13.2,7"))
         problems = RoundDataset(apps, sets, load_default_registry()).validate()
         assert any("disagrees with registry" in p for p in problems)
+
+    def test_validate_resolves_a_median_set_once_per_group(self, monkeypatch):
+        dataset, _ = load_round(
+            GOLDEN / "applications.csv", GOLDEN / "medians.csv", GOLDEN / "registry.csv"
+        )
+        calls = []
+        resolve = MedianIndex.resolve
+        monkeypatch.setattr(
+            MedianIndex, "resolve", lambda self, *a: calls.append(a) or resolve(self, *a)
+        )
+        assert dataset.validate() == []
+        assert len(calls) == len(dataset.applications.groups) == 16
+        assert len(dataset.applications) == 680
+
+    def test_validate_lists_each_application_as_the_per_application_check_did(self):
+        def app(name, code, role, kind):
+            discipline = DisciplineId.parse(*code.split(":"))
+            vector = IndicatorVector(1.0, 2.0, 3.0, kind)
+            return ApplicationRecord(f"{name}|X", name, "X", discipline, role, vector, True)
+
+        B, NB = IndicatorKind.BIBLIOMETRIC, IndicatorKind.NON_BIBLIOMETRIC
+        records = [
+            app("a", "01/A1", Role.FULL, B),
+            app("b", "01/A2", Role.FULL, B),  # discipline not in the registry
+            app("c", "01/A1", Role.FULL, NB),  # kind disagrees with the registry
+            app("d", "01/A1", Role.ASSOCIATE, B),  # no median set
+            app("e", "01/A1:01/A1-x", Role.FULL, NB),  # resolves to its discipline's set
+            app("f", "01/A2", Role.ASSOCIATE, B),
+            app("g", "01/A1", Role.ASSOCIATE, NB),
+            app("h", "01/A1", Role.FULL, B),
+        ]
+        medians = [
+            MedianSet(DisciplineId.parse("01/A1"), Role.FULL, 1, 1, 1, B),
+            MedianSet(DisciplineId.parse("12/A1"), Role.FULL, 1, 1, 1, B),
+        ]
+        registry = [e for e in load_default_registry() if e.discipline.code != "01/A2"]
+        dataset = RoundDataset(records, medians, registry)
+        problems = dataset.validate()
+        assert problems == reference_validate(dataset)
+        assert problems == [
+            "median set 12/A1 kind bibliometric disagrees with registry non-bibliometric",
+            "application b|X: discipline 01/A2 not in registry",
+            "application c|X: indicator kind non-bibliometric disagrees with registry",
+            "application d|X: no median set for 01/A1 role 2",
+            "application e|X: indicator kind non-bibliometric disagrees with registry",
+            "application f|X: discipline 01/A2 not in registry",
+            "application g|X: indicator kind non-bibliometric disagrees with registry",
+            "application g|X: no median set for 01/A1 role 2",
+        ]
 
     def test_round_trip_through_files(self, tmp_path):
         dataset = synthesize_round(default_synth_config(), 11)
