@@ -4,12 +4,20 @@ The fixtures pin the byte-level output of the synthesizer and the report
 writer for one fixed configuration and seed.  Rerun this script only when
 an intentional change to serialization or analysis output is made, and
 review the diff before committing.
+
+    python scripts/regen_golden.py           # rewrite tests/golden/
+    python scripts/regen_golden.py --check   # compare only; exit 1 on a difference
+
+--check regenerates into a temporary directory, never writes to
+tests/golden/, and names each file that differs, is missing or is extra.
 """
 
 from __future__ import annotations
 
+import argparse
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -22,18 +30,53 @@ GOLDEN_SEED = 7
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
-def main() -> int:
+def regenerate(out: Path) -> int:
+    """Write the golden dataset and report files under `out`; returns the file count."""
     dataset = synthesize_round(default_synth_config(), GOLDEN_SEED)
+    out.mkdir(parents=True, exist_ok=True)
+    write_applications(dataset.applications, out / "applications.csv")
+    write_medians(dataset.medians, out / "medians.csv")
+    write_registry(dataset.registry, out / "registry.csv")
+    report = analyze_round(dataset)
+    written = emit(report, "csv", out / "report")
+    written += emit(report, "json", out / "report")
+    return 3 + len(written)
+
+
+def differing_files(new: Path, old: Path) -> list[str]:
+    """Relative paths of the files that differ between two trees or are in one only."""
+    def files(root: Path) -> set[str]:
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    return [
+        name for name in sorted(files(new) | files(old))
+        if not ((new / name).is_file() and (old / name).is_file()
+                and (new / name).read_bytes() == (old / name).read_bytes())
+    ]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check tests/golden/.")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="regenerate into a temporary directory and compare it with tests/golden/",
+    )
+    args = parser.parse_args(argv)
+    if args.check:
+        with tempfile.TemporaryDirectory() as tmp:
+            count = regenerate(Path(tmp))
+            differing = differing_files(Path(tmp), GOLDEN_DIR)
+        for name in differing:
+            print(f"differs: {GOLDEN_DIR / name}")
+        if differing:
+            print(f"{len(differing)} of the golden files differ from a fresh regeneration")
+            return 1
+        print(f"ok: {count} files byte-identical to {GOLDEN_DIR}")
+        return 0
     if GOLDEN_DIR.exists():
         shutil.rmtree(GOLDEN_DIR)
-    GOLDEN_DIR.mkdir(parents=True)
-    write_applications(dataset.applications, GOLDEN_DIR / "applications.csv")
-    write_medians(dataset.medians, GOLDEN_DIR / "medians.csv")
-    write_registry(dataset.registry, GOLDEN_DIR / "registry.csv")
-    report = analyze_round(dataset)
-    written = emit(report, "csv", GOLDEN_DIR / "report")
-    emit(report, "json", GOLDEN_DIR / "report")
-    print(f"wrote 3 dataset files and {len(written) + 1} report files to {GOLDEN_DIR}")
+    count = regenerate(GOLDEN_DIR)
+    print(f"wrote {count} files to {GOLDEN_DIR}")
     return 0
 
 

@@ -270,11 +270,12 @@ def _rows(
     does: blank rows are skipped, a short row is padded with "", extra
     fields are ignored, and a column named twice takes its last field.  The
     line is the reader's line count at the end of the row.  Fails fast on a
-    missing header or column, and on bytes that are not UTF-8.
+    missing header or column, on bytes that are not UTF-8, and on a row the
+    csv module cannot read, such as one with a field over its size limit.
     """
     with _open_text(source) as handle:
+        reader = csv.reader(handle)
         try:
-            reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
                 raise ValueError("input is empty, expected a header row")
@@ -292,6 +293,9 @@ def _rows(
                 yield reader.line_num, pick(row)
         except UnicodeDecodeError as exc:
             raise ValueError(_undecodable(source, exc)) from None
+        except csv.Error as exc:
+            name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+            raise ValueError(f"{name}: line {reader.line_num}: {exc}") from None
 
 
 def _fail(rows: Iterator, message: str) -> NoReturn:

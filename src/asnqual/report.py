@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import json
 import math
 import operator
+import os
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,8 +70,9 @@ KIND_LABELS = {
 _LABELS = {**ROLE_LABELS, **KIND_LABELS, **{s: s.value for s in Standing}}
 _LABELS.update({t: t.value or "none" for t in MedianTag})
 _ROLE_KINDS = list(itertools.product(Role, IndicatorKind))
-# Rows per block of a CSV file: each block is formatted column by column.
-_CSV_BLOCK_ROWS = 4096
+# Rows per block of a CSV file or of a report.json table: each block is
+# formatted column by column, and is all of a table that is held as text.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -576,13 +578,30 @@ def _csv_rule(kind: type) -> Callable[[object], str]:
     return str
 
 
-def _json_rule(kind: type) -> Callable[[object], object]:
-    """How report.json writes a value of this type; NaN becomes null."""
+_JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_LABELS = {member: encode_basestring_ascii(label) for member, label in _LABELS.items()}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_FLOATS.get(text, text)
+
+
+def _json_rule(kind: type) -> Callable[[object], str]:
+    """The JSON token of a value of this type, as json.dumps writes it; NaN becomes null."""
+    if issubclass(kind, bool):
+        return {True: "true", False: "false"}.__getitem__
+    if issubclass(kind, int):
+        return int.__repr__
     if issubclass(kind, float):
-        return lambda value: None if value != value else value
+        return _json_float
     if issubclass(kind, (Role, IndicatorKind, Standing, MedianTag)):
-        return _LABELS.__getitem__
-    return lambda value: value
+        return _JSON_LABELS.__getitem__
+    if issubclass(kind, str):
+        return encode_basestring_ascii
+    if kind is type(None):
+        return lambda _: "null"
+    raise TypeError(f"report.json cannot hold a value of type {kind.__name__}")
 
 
 def _format_column(column: Sequence, rule_for: Callable[[type], Callable]) -> list:
@@ -598,7 +617,13 @@ def _format_column(column: Sequence, rule_for: Callable[[type], Callable]) -> li
 
 
 _csv_column = functools.partial(_format_column, rule_for=_csv_rule)
-_json_column = functools.partial(_format_column, rule_for=_json_rule)
+
+
+def _json_column(column: Sequence) -> list[str]:
+    """The JSON tokens of a column; a float array with no NaN or inf is written by repr alone."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f" and np.isfinite(column).all():
+        return list(map(float.__repr__, column.tolist()))
+    return _format_column(column, _json_rule)
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
@@ -611,11 +636,45 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-                block = [_csv_column(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
+            for lo in range(0, n_rows, _BLOCK_ROWS):
+                block = [_csv_column(c[lo:lo + _BLOCK_ROWS]) for c in columns]
                 writer.writerows(zip(*block))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+# The layout of json.dumps(document, indent=2, sort_keys=True): table names at
+# indent 2, "columns" and "rows" at 4, their items at 6, the values of a row at 8.
+_JSON_VALUE_SEP = ",\n        "
+_JSON_ROW_SEP = "\n      ],\n      [\n        "
+
+
+def _write_json(handle: IO[str], tables: dict[str, tuple[list[str], list[Sequence]]]) -> None:
+    """The tables as report.json, one table and one block of rows at a time.
+
+    The text is that of json.dumps(document, indent=2, sort_keys=True) + "\n"
+    for document = {name: {"columns": header, "rows": rows}}.
+    """
+    handle.write("{")
+    for t, name in enumerate(sorted(tables)):
+        header, columns = tables[name]
+        names = ",\n      ".join(map(encode_basestring_ascii, header))
+        handle.write(
+            f'{"," if t else ""}\n  {encode_basestring_ascii(name)}: {{\n'
+            f'    "columns": [\n      {names}\n    ],\n    "rows": '
+        )
+        n_rows = len(columns[0])
+        if not n_rows:
+            handle.write("[]\n  }")
+            continue
+        handle.write("[\n      [\n        ")
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            block = [_json_column(c[lo:lo + _BLOCK_ROWS]) for c in columns]
+            if lo:
+                handle.write(_JSON_ROW_SEP)
+            handle.write(_JSON_ROW_SEP.join(map(_JSON_VALUE_SEP.join, zip(*block))))
+        handle.write("\n      ]\n    ]\n  }")
+    handle.write("\n}\n")
 
 
 def _row_table(header: list[str], rows: Iterable[Sequence]) -> tuple[list[str], list[Sequence]]:
@@ -720,16 +779,17 @@ def emit(report: RoundReport, format: str, target: str | Path) -> list[Path]:
             written.append(out_dir / f"{name}.csv")
             _write_csv(written[-1], header, columns)
     else:
-        document = {
-            name: {"columns": header, "rows": [list(r) for r in zip(*map(_json_column, columns))]}
-            for name, (header, columns) in sorted(tables.items())
-        }
         path = out_dir / "report.json"
+        # Written under a sibling name and renamed into place, so that a
+        # write that fails partway leaves no truncated report.json.
+        part = path.with_name(path.name + ".part")
         try:
-            path.write_text(
-                json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            with open(part, "w", encoding="utf-8") as handle:
+                _write_json(handle, tables)
+            os.replace(part, path)
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc}") from exc
+        finally:
+            part.unlink(missing_ok=True)
         written.append(path)
     return written

@@ -47,8 +47,10 @@ MEDIANS = [
     ["13/A5", "", "2", "NB", "1", "1", "0.2"],
 ]
 NUMERIC_COLUMNS = {"ind1", "ind2", "ind3", "m1", "m2", "m3", "role"}
+# The last is one character past the csv module's default field size limit.
 HUGE = st.sampled_from(
-    ["1e308", "-1e308", "1.8e308", "inf", "-inf", "nan", "NaN", "1" * 400, "9" * 400 + ".5", "1e-320", "-0"]
+    ["1e308", "-1e308", "1.8e308", "inf", "-inf", "nan", "NaN", "1" * 400, "9" * 400 + ".5", "1e-320", "-0",
+     "1" * 131_073]
 )
 NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
 NAME_COLUMNS = {"last_name", "first_name"}
@@ -132,6 +134,25 @@ def test_undamaged_round_passes():
         args = ["--applications", f"{tmp}/applications.csv", "--medians", f"{tmp}/medians.csv"]
         assert main(["validate", *args]) == 0
         assert main(["analyze", *args, "--out", f"{tmp}/report"]) == 0
+
+
+@pytest.mark.parametrize("name", ["applications.csv", "medians.csv", "registry.csv"])
+def test_field_past_the_csv_size_limit_exits_1_naming_the_file(tmp_path, capsys, name):
+    tables = {"applications.csv": APPLICATIONS, "medians.csv": MEDIANS,
+              "registry.csv": [["discipline", "area_acronym", "kind"], ["01/A1", "MCS", "B"],
+                               ["13/A5", "ECS", "NB"]]}
+    for file_name, table in tables.items():
+        rows = [list(row) for row in table]
+        if file_name == name:
+            rows[1][0] = "x" * 200_000
+        (tmp_path / file_name).write_text(csv_text(rows), encoding="utf-8", newline="")
+    args = ["--applications", str(tmp_path / "applications.csv"),
+            "--medians", str(tmp_path / "medians.csv"), "--registry", str(tmp_path / "registry.csv")]
+    message = f"{tmp_path / name}: line 2: field larger than field limit"
+    assert run_cli(["validate", *args]) == 1
+    assert message in capsys.readouterr().err
+    assert run_cli(["analyze", *args, "--out", str(tmp_path / "report")]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["Ro\rssi", "Ro\nssi", "Ro\r\nssi"])

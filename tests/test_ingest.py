@@ -1,4 +1,5 @@
 import io
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -436,6 +437,19 @@ class TestRoundDataset:
         path.write_bytes(b"".join(rows))
         with pytest.raises(ValueError, match=r"applications\.csv: line 2501: not UTF-8 text"):
             parse_applications(path)
+
+    @pytest.mark.parametrize("name, parse", [
+        ("applications.csv", parse_applications),
+        ("medians.csv", parse_medians),
+        ("registry.csv", parse_registry),
+    ])
+    def test_field_over_the_csv_size_limit_names_the_file_and_line(self, tmp_path, name, parse):
+        lines = (GOLDEN / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "x" * 200_000 + lines[2]
+        path = tmp_path / name
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 3: field larger than"):
+            parse(path)
 
     def test_serialization_is_stable(self):
         dataset = synthesize_round(default_synth_config(), 11)

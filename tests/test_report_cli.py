@@ -1,7 +1,10 @@
 import csv
+import dataclasses
+import errno
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -17,6 +20,7 @@ from asnqual.ingest import (
     write_medians,
     write_registry,
 )
+from asnqual import report as report_module
 from asnqual.report import _na_histogram, analyze_round, emit
 from asnqual.synth import (
     ComponentModel,
@@ -343,6 +347,21 @@ class TestEmit:
         row = next(r for r in table["rows"] if r[0] == "13/A5" and r[1] == "full")
         assert row[pqu] is None
 
+    def test_json_emit_holds_a_block_of_rows_not_the_document(self, tmp_path):
+        plans = tuple(
+            dataclasses.replace(p, n_full=30 * p.n_full, n_associate=30 * p.n_associate)
+            for p in default_synth_config().plans
+        )
+        report = analyze_round(synthesize_round(SynthConfig(plans), 3))
+        assert report.n_applications >= 20_000
+        tracemalloc.start()
+        try:
+            emit(report, "json", tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "report.json").stat().st_size / 2
+
     def test_unknown_format_is_an_error(self, tmp_path):
         report = analyze_round(small_round())
         target = tmp_path / "report"
@@ -489,6 +508,35 @@ class TestCli:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_json_write_failing_after_the_first_table_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        round_dir, out = tmp_path / "round", tmp_path / "report"
+        assert main(["synth", "--out", str(round_dir)]) == 0
+        written = []
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                if text.startswith(',\n  "'):  # the second table opens
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(text)
+                return self.handle.write(text)
+
+        write_json = report_module._write_json
+        monkeypatch.setattr(
+            report_module, "_write_json", lambda handle, tables: write_json(FullDisk(handle), tables)
+        )
+        code = main(["analyze", "--applications", str(round_dir / "applications.csv"),
+                     "--medians", str(round_dir / "medians.csv"), "--out", str(out),
+                     "--format", "json"])
+        assert code == 2
+        assert f"error: cannot write {out / 'report.json'}: " in capsys.readouterr().err
+        assert '"area_table"' in "".join(written)
+        assert list(out.iterdir()) == []
 
     def test_validation_problems_exit_1(self, tmp_path, capsys):
         data = small_round()

@@ -4,16 +4,18 @@ Small generated rounds cover what the golden round does not: ties and
 constant indicator columns, groups with nobody over or under the median,
 disciplines that have one role only, sub-disciplines with and without
 their own median set (an empty one too), zero medians, signed zeros, and names holding a
-comma, a quote, a bar or a backslash.  Every CSV table must be
-byte-identical, and report.json must parse to the same document with
-every number compared as written.
+comma, a quote, a bar or a backslash.  Every CSV table and report.json
+must be byte-identical.  The streamed report.json writer is also checked
+against json.dumps on generated tables of every value type.
 """
 
+import io
 import json
 import math
 import tempfile
 from dataclasses import astuple
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given
@@ -22,7 +24,8 @@ from hypothesis import strategies as st
 from asnqual.dominance import ApplicationRecord
 from asnqual.indicators import IndicatorKind, IndicatorVector
 from asnqual.ingest import RoundDataset, applicant_id, load_default_registry
-from asnqual.report import _csv_column, _json_column, analyze_round, emit
+from asnqual import report as report_module
+from asnqual.report import _csv_column, _json_column, _write_json, analyze_round, emit
 from asnqual.thresholds import DisciplineId, MedianSet, MedianTag, Role, Standing
 from report_reference import cell, jsonable, reference_emit, reference_tables
 
@@ -79,7 +82,8 @@ def test_every_table_matches_the_reference(data, width):
                               ("new", lambda fmt, d: emit(report, fmt, d))):
             emit_to("csv", Path(tmp) / side / "csv")
             emit_to("json", Path(tmp) / side / "json")
-        assert written(Path(tmp) / "new" / "csv") == written(Path(tmp) / "ref" / "csv")
+        for fmt in ("csv", "json"):
+            assert written(Path(tmp) / "new" / fmt) == written(Path(tmp) / "ref" / fmt)
         documents = [
             json.loads((Path(tmp) / side / "json" / "report.json").read_text("utf-8"), parse_float=str)
             for side in ("ref", "new")
@@ -122,7 +126,7 @@ UNIFORM = [(float, FLOATS), (int, INT64S), (bool, st.booleans())]
 @given(st.lists(SCALARS, max_size=20) | st.one_of(*(st.lists(s, max_size=20) for _, s in UNIFORM)))
 def test_column_formatters_follow_the_cell_rules(values):
     assert _csv_column(values) == [cell(v) for v in values]
-    assert json.dumps(_json_column(values)) == json.dumps([jsonable(v) for v in values])
+    assert _json_column(values) == [json.dumps(jsonable(v)) for v in values]
 
 
 @given(st.one_of(*(st.tuples(st.just(t), st.lists(s, max_size=20)) for t, s in UNIFORM)))
@@ -130,6 +134,46 @@ def test_array_columns_format_as_their_python_values(typed):
     dtype, values = typed
     array = np.array(values, dtype=dtype)
     assert _csv_column(array) == [cell(v) for v in values]
-    json_values = _json_column(array)
-    assert [type(v) for v in json_values] == [type(jsonable(v)) for v in values]
-    assert json.dumps(json_values) == json.dumps([jsonable(v) for v in values])
+    assert _json_column(array) == [json.dumps(jsonable(v)) for v in values]
+
+
+# Text with non-ASCII and control characters, quotes and backslashes.
+TEXT = st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\n\x00\x1f\x7f'), max_size=4)
+JSON_FLOATS = st.sampled_from([float(x) for x in EDGE_FLOATS] + [math.inf, -math.inf]) | st.floats()
+JSON_SCALARS = st.one_of(
+    JSON_FLOATS, INTS, st.booleans(), st.none(), TEXT,
+    st.sampled_from([*Role, *IndicatorKind, *Standing, *MedianTag]),
+)
+JSON_ARRAYS = [(float, JSON_FLOATS), (int, INT64S), (bool, st.booleans())]
+
+
+@st.composite
+def json_tables(draw):
+    """{name: (header, columns)}: list or array columns of one length, 0 and 1 rows included."""
+    tables = {}
+    for name in draw(st.lists(TEXT, min_size=1, max_size=4, unique=True)):
+        n_rows = draw(st.sampled_from([0, 1]) | st.integers(0, 9))
+        header = draw(st.lists(TEXT, min_size=1, max_size=4))
+        columns = []
+        for _ in header:
+            if draw(st.booleans()):
+                columns.append(draw(st.lists(JSON_SCALARS, min_size=n_rows, max_size=n_rows)))
+            else:
+                dtype, values = draw(st.sampled_from(JSON_ARRAYS))
+                values = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+                columns.append(np.array(values, dtype=dtype))
+        tables[name] = (header, columns)
+    return tables
+
+
+@given(json_tables(), st.sampled_from([1, 2, 3, 1024]))
+def test_streamed_json_is_the_json_dumps_text(tables, block_rows):
+    document = {}
+    for name, (header, columns) in tables.items():
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        rows = [[jsonable(v) for v in row] for row in zip(*values)]
+        document[name] = {"columns": header, "rows": rows}
+    out = io.StringIO()
+    with mock.patch.object(report_module, "_BLOCK_ROWS", block_rows):
+        _write_json(out, tables)
+    assert out.getvalue() == json.dumps(document, indent=2, sort_keys=True) + "\n"
