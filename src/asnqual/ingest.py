@@ -241,6 +241,11 @@ def _open_text(source: str | Path | IO[str]) -> Iterator[IO[str]]:
         yield source
 
 
+def _source_name(source: str | Path | IO[str]) -> str | Path:
+    """How an input is named in messages: its path, or the name of the stream."""
+    return source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+
+
 def _undecodable(source: str | Path | IO[str], exc: UnicodeDecodeError) -> str:
     """The decode error, with the file and the physical line that holds the bad byte.
 
@@ -248,7 +253,7 @@ def _undecodable(source: str | Path | IO[str], exc: UnicodeDecodeError) -> str:
     not say where the byte is; the file is scanned again, line by line.
     """
     if not isinstance(source, (str, Path)):
-        return f"{getattr(source, 'name', 'input')}: not UTF-8 text ({exc.reason})"
+        return f"{_source_name(source)}: not UTF-8 text ({exc.reason})"
     with open(source, "rb") as raw:
         for number, line in enumerate(raw, start=1):
             try:
@@ -294,8 +299,7 @@ def _rows(
         except UnicodeDecodeError as exc:
             raise ValueError(_undecodable(source, exc)) from None
         except csv.Error as exc:
-            name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
-            raise ValueError(f"{name}: line {reader.line_num}: {exc}") from None
+            raise ValueError(f"{_source_name(source)}: line {reader.line_num}: {exc}") from None
 
 
 def _fail(rows: Iterator, message: str) -> NoReturn:

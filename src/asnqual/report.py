@@ -619,11 +619,7 @@ def _format_column(column: Sequence, rule_for: Callable[[type], Callable]) -> li
 _csv_column = functools.partial(_format_column, rule_for=_csv_rule)
 
 
-def _json_column(column: Sequence) -> list[str]:
-    """The JSON tokens of a column; a float array with no NaN or inf is written by repr alone."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f" and np.isfinite(column).all():
-        return list(map(float.__repr__, column.tolist()))
-    return _format_column(column, _json_rule)
+_json_column = functools.partial(_format_column, rule_for=_json_rule)
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:

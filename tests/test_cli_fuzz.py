@@ -47,11 +47,13 @@ MEDIANS = [
     ["13/A5", "", "2", "NB", "1", "1", "0.2"],
 ]
 NUMERIC_COLUMNS = {"ind1", "ind2", "ind3", "m1", "m2", "m3", "role"}
-# The last is one character past the csv module's default field size limit.
 HUGE = st.sampled_from(
-    ["1e308", "-1e308", "1.8e308", "inf", "-inf", "nan", "NaN", "1" * 400, "9" * 400 + ".5", "1e-320", "-0",
-     "1" * 131_073]
+    ["1e308", "-1e308", "1.8e308", "inf", "-inf", "nan", "NaN", "1" * 400, "9" * 400 + ".5", "1e-320", "-0"]
 )
+# One character past the csv module's default field size limit.  Only the CLI
+# fuzz draws it: the frozen per-row reader of test_ingest_reference.py lets
+# its csv.Error escape, where the parser names the file and line.
+HUGE_OR_OVER_THE_LIMIT = HUGE | st.just("1" * 131_073)
 NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
 NAME_COLUMNS = {"last_name", "first_name"}
 
@@ -63,13 +65,13 @@ def csv_text(rows, newline="\n"):
 
 
 @st.composite
-def damaged_csv(draw, table):
+def damaged_csv(draw, table, huge=HUGE):
     header, *rows = [list(r) for r in table]
     # huge-numeric: overwrite some numeric cells
     numeric = [c for c, name in enumerate(header) if name in NUMERIC_COLUMNS]
     for _ in range(draw(st.integers(0, 3))):
         row = draw(st.sampled_from(rows))
-        row[draw(st.sampled_from(numeric))] = draw(HUGE)
+        row[draw(st.sampled_from(numeric))] = draw(huge)
     # duplicate-key: repeat rows, sometimes with other values
     for _ in range(draw(st.integers(0, 2))):
         copy = list(draw(st.sampled_from(rows)))
@@ -103,8 +105,8 @@ def run_cli(argv):
 
 
 @given(
-    damaged_csv(APPLICATIONS) | st.just(None),
-    damaged_csv(MEDIANS) | st.just(None),
+    damaged_csv(APPLICATIONS, HUGE_OR_OVER_THE_LIMIT) | st.just(None),
+    damaged_csv(MEDIANS, HUGE_OR_OVER_THE_LIMIT) | st.just(None),
     st.sampled_from(["csv", "json"]),
 )
 def test_damaged_inputs_exit_0_1_or_2(applications, medians, fmt):
