@@ -4,6 +4,13 @@ A committee decision is "Pareto consistent" when no denied applicant
 dominates a qualified one on all three indicators.  The violation ratio of
 a (discipline, role) group is the fraction of dominating ordered pairs
 whose outcome breaks that expectation.
+
+The ratio counts pairs on bitsets over the group's rows: a row's ">=-set"
+(the rows it is no lower than on every component) is the AND of three
+prefix sets of the per-component sort orders, and the pair counts are
+popcounts of those sets, less the pairs of equal vectors.  That is
+O(n^2 / 64) word operations per group.  ``violating_pairs``, which lists the
+pairs themselves, compares row blocks of the n x n dominance matrix.
 """
 
 from __future__ import annotations
@@ -61,12 +68,35 @@ class PvrResult:
     no_comparable_pairs: bool = False
 
 
-# Cells of one row block of the n x n dominance matrix: a block of
-# max(1, _BLOCK_CELLS // n) rows keeps each boolean temporary under 256 KiB
-# whatever the group size.  That fits in a core's L2 cache, and malloc hands
-# the same heap memory from one block to the next; blocks of a few MB are
-# mapped and faulted in afresh for every group, a cost set by the host.
+# One budget for the two kernels' temporaries, whatever the group size.
+# violating_pairs compares a row block of max(1, _BLOCK_CELLS // n) rows
+# against the group, so each boolean block holds _BLOCK_CELLS cells;
+# pareto_violation_ratio builds its prefix bitsets over a block of
+# max(1, _BLOCK_CELLS // 8 // (n + 1)) 64-bit column words, so each table of
+# n + 1 rows holds about _BLOCK_CELLS bytes.  256 KiB fits in a core's L2
+# cache, and malloc hands the same heap memory from one block to the next;
+# blocks of a few MB are mapped and faulted in afresh for every group, a
+# cost set by the host.
 _BLOCK_CELLS = 1 << 18
+
+# Set bits of each byte value, for numpy releases without np.bitwise_count.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _table_popcount(words: np.ndarray) -> int:
+    """Set bits in a contiguous uint64 array, counted byte by byte."""
+    return int(np.add.reduce(_BYTE_BITS[words.view(np.uint8)], axis=None, dtype=np.int64))
+
+
+def _numpy_popcount(words: np.ndarray) -> int:
+    """Set bits in a uint64 array (numpy 2.0 or later)."""
+    return int(np.add.reduce(np.bitwise_count(words), axis=None, dtype=np.int64))
+
+
+_popcount = _numpy_popcount if hasattr(np, "bitwise_count") else _table_popcount
+# The bit of row j within its 64-bit word j >> 6 is _BITS[j & 63].
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+_COMPONENTS = np.arange(3)[:, None]
 
 
 def _group_arrays(apps: Sequence[ApplicationRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -100,25 +130,106 @@ def _dominance_blocks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, ge & ~le
 
 
+def _tied_pairs(columns: np.ndarray, qualified: np.ndarray) -> tuple[int, int]:
+    """Ordered pairs (i, j) of equal vectors, i = j included, and those with i denied, j qualified.
+
+    ``columns`` is the group's 3 x n indicator matrix.
+    """
+    order = np.lexsort(columns)
+    runs = columns[:, order]
+    edges = np.empty(len(order) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.logical_or.reduce(runs[:, 1:] != runs[:, :-1], axis=0, out=edges[1:-1])
+    edges = edges.nonzero()[0]
+    sizes = edges[1:] - edges[:-1]
+    n_qualified = np.add.reduceat(qualified[order], edges[:-1], dtype=np.int64)
+    return int(sizes @ sizes), int(n_qualified @ (sizes - n_qualified))
+
+
+def _sort_positions(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, rank) of a 3 x n matrix, per component k and row i.
+
+    upper[k, i] counts the rows whose component k is at most row i's, and
+    rank[k, i] is 1 + row i's position in the stable sort of component k.
+    """
+    order = columns.argsort(axis=1, kind="stable")
+    ranked = columns[_COMPONENTS, order]
+    upper = np.empty_like(order)
+    for k in range(3):
+        upper[k] = ranked[k].searchsorted(columns[k], side="right")
+    rank = np.empty_like(order)
+    rank[_COMPONENTS, order] = np.arange(1, columns.shape[1] + 1)
+    return upper, rank
+
+
+def _ge_pairs(columns: np.ndarray, qualified: np.ndarray) -> tuple[int, int]:
+    """Ordered pairs (i, j), i no lower than j everywhere, and those with i denied, j qualified.
+
+    ``columns`` is the group's 3 x n indicator matrix.  Row i's >=-set, the
+    rows j it is no lower than, is a bitset over the rows: the AND over
+    components k of the first upper[k, i] rows in the order of component k,
+    where upper[k, i] counts the rows whose component k is at most row i's.
+    Those prefix sets are one table per component, whose row t holds the
+    bits of the first t sorted rows (row j's bit enters at rank[k, j]); the
+    tables are built for one block of 64-bit column words at a time.
+    """
+    n = columns.shape[1]
+    upper, rank = _sort_positions(columns)
+    rows = np.arange(n)
+    word = rows >> 6
+    bits = _BITS[rows & 63]
+    qualified_words = np.bitwise_or.reduceat(bits * qualified, rows[::64])
+    denied = (~qualified).nonzero()[0]
+    n_words = len(qualified_words)
+    step = min(n_words, max(1, _BLOCK_CELLS // 8 // (n + 1)))
+    tables = np.empty((3, n + 1, step), dtype=np.uint64)
+    ge_pairs = violating = 0
+    for first in range(0, n_words, step):
+        width = min(step, n_words - first)
+        block = slice(64 * first, 64 * (first + width))
+        prefix = tables[:, :, :width]
+        prefix.fill(0)
+        prefix[_COMPONENTS, rank[:, block], word[block] - first] = bits[block]
+        np.bitwise_or.accumulate(prefix, axis=1, out=prefix)
+        ge = prefix[0].take(upper[0], axis=0)
+        ge &= prefix[1].take(upper[1], axis=0)
+        ge &= prefix[2].take(upper[2], axis=0)
+        ge_pairs += _popcount(ge)
+        ge = ge[denied]
+        ge &= qualified_words[first:first + width]
+        violating += _popcount(ge)
+    return ge_pairs, violating
+
+
 def pareto_violation_ratio(
     apps: Sequence[ApplicationRecord] | np.ndarray, qualified: np.ndarray | None = None
 ) -> PvrResult:
     """Fraction of dominating pairs (p, q) where p was denied but q qualified.
 
     Takes the records of one (discipline, role) group, or the group's n x 3
-    indicator array and its qualified flags.  The n x n dominance matrix is
-    never held whole: it is built and counted one row block at a time, so
-    the work is O(n^2) comparisons and the extra memory O(block x n), a few
-    boolean matrices of about ``_BLOCK_CELLS`` cells.
+    indicator array and its qualified flags; indicators must be finite.
+    i dominates j when i is no lower than j on every component and the two
+    vectors differ, so each count is a popcount of the rows' >=-sets (see
+    ``_ge_pairs``) less the pairs of equal vectors.  That is O(n^2 / 64)
+    word operations after a few sorts, and O(``_BLOCK_CELLS`` + n) extra
+    memory.
     """
-    values = apps
     if qualified is None:
         values, qualified = _group_arrays(apps)
-    dominating = violating = 0
-    for lo, dom in _dominance_blocks(values):
-        dominating += int(np.count_nonzero(dom))
-        denied = ~qualified[lo:lo + len(dom)]
-        violating += int(np.count_nonzero(dom[denied][:, qualified]))
+    else:
+        # Records and ingest reject non-finite values; a NaN would sort last and
+        # count as no lower than every row.
+        values = np.asarray(apps, dtype=float)
+        qualified = np.asarray(qualified, dtype=bool)
+        if not np.isfinite(values).all():
+            raise ValueError("indicator values must be finite")
+    if len(values) == 0:
+        return PvrResult(0.0, 0, 0, no_comparable_pairs=True)
+    columns = values.T
+    ge_pairs, ge_violating = _ge_pairs(columns, qualified)
+    tied, tied_violating = _tied_pairs(columns, qualified)
+    dominating = ge_pairs - tied
+    violating = ge_violating - tied_violating
     if dominating == 0:
         return PvrResult(0.0, 0, 0, no_comparable_pairs=True)
     return PvrResult(violating / dominating, dominating, violating)
@@ -130,8 +241,9 @@ def violating_pairs(
     """The dominating pairs (p, q) of one group where p was denied but q qualified.
 
     Pairs come in row-major order of the group's indices; ``limit`` stops the
-    scan after that many.  The memory bound is that of
-    ``pareto_violation_ratio`` plus the pairs returned.
+    scan after that many.  The n x n dominance matrix is built one row block
+    of about ``_BLOCK_CELLS`` cells at a time, so the extra memory is a few
+    such blocks plus the pairs returned.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")

@@ -70,6 +70,9 @@ KIND_LABELS = {
 _LABELS = {**ROLE_LABELS, **KIND_LABELS, **{s: s.value for s in Standing}}
 _LABELS.update({t: t.value or "none" for t in MedianTag})
 _ROLE_KINDS = list(itertools.product(Role, IndicatorKind))
+_ROLES, _KINDS = tuple(Role), tuple(IndicatorKind)
+# Standing codes of the classified table: 0 over the median, 1 under it.
+_STANDINGS = (Standing.OVER_MEDIAN, Standing.UNDER_MEDIAN)
 # Rows per block of a CSV file or of a report.json table: each block is
 # formatted column by column, and is all of a table that is held as text.
 _BLOCK_ROWS = 1024
@@ -214,14 +217,36 @@ class ClassifiedApplication:
 
 
 @dataclass(frozen=True, eq=False)
+class EnumColumn:
+    """A column of enum members held as int8 codes: row i is members[codes[i]]."""
+
+    codes: np.ndarray
+    members: tuple
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> EnumColumn:
+        return EnumColumn(self.codes[rows], self.members)
+
+    def tolist(self) -> list:
+        return self.labels(self.members)
+
+    def labels(self, of_members: Sequence) -> list:
+        """of_members[codes[i]] for every row i."""
+        return np.array(of_members, dtype=object)[self.codes].tolist()
+
+
+@dataclass(frozen=True, eq=False)
 class ClassifiedTable:
-    """The classified applications as one array per ClassifiedApplication field.
+    """The classified applications as one column per ClassifiedApplication field.
 
     Rows are sorted by discipline, sub-discipline, role and applicant id;
-    iterating yields ClassifiedApplication rows.
+    ``role``, ``kind`` and ``standing`` are EnumColumns, the other fields
+    arrays.  Iterating yields ClassifiedApplication rows.
     """
 
-    columns: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray | EnumColumn, ...]
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -367,6 +392,8 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     exceeds, over = _classify_all(ind, group, medians, required)
 
     labels = [(d.code, d.sub_discipline or "", role, kinds[d.code]) for d, role, _ in table.groups]
+    role_codes = np.array([_ROLES.index(role) for _, _, role, _ in labels], dtype=np.int8)
+    kind_codes = np.array([_KINDS.index(kind) for _, _, _, kind in labels], dtype=np.int8)
     # Rows in (discipline code, sub-discipline, role, applicant id) order, by
     # two stable sorts: equal keys keep their dataset order.
     group_keys = [(code, sub, role.value) for code, sub, role, _ in labels]
@@ -376,11 +403,14 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
     order = by_id[np.argsort(rank[group[by_id]], kind="stable")]
     sorted_ind = ind[order]
+    sorted_group = group[order]
     classified = ClassifiedTable((
         np.array(ids, dtype=object)[order],
-        *np.array(labels, dtype=object).reshape(-1, 4)[group[order]].T,
+        *np.array(labels, dtype=object).reshape(-1, 4)[sorted_group, :2].T,
+        EnumColumn(role_codes[sorted_group], _ROLES),
+        EnumColumn(kind_codes[sorted_group], _KINDS),
         *sorted_ind.T, exceeds[order],
-        np.where(over[order], Standing.OVER_MEDIAN, Standing.UNDER_MEDIAN), qualified[order],
+        EnumColumn((~over[order]).view(np.int8), _STANDINGS), qualified[order],
     ))
 
     # Discipline-level groups (code, role), in code and role order; the
@@ -559,23 +589,36 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     )
 
 
-def _float_cell(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+def _each(rule: Callable[[object], str]) -> Callable[[Sequence], list[str]]:
+    """A column rule that applies ``rule`` to every value."""
+    return lambda values: list(map(rule, values))
 
 
-def _csv_rule(kind: type) -> Callable[[object], str]:
-    """How a CSV cell writes a value of this type."""
+def _float_cells(values: Sequence[float]) -> list[str]:
+    """CSV cells of floats: NaN, integral values below 1e16 as integers, the rest by repr."""
+    column = np.asarray(values, dtype=float)
+    integral = (np.trunc(column) == column) & (np.abs(column) < 1e16)
+    ints = column[integral].astype(np.int64).tolist()
+    rest = ~integral
+    cells = np.empty(len(column), dtype=object)
+    cells[integral] = np.array(list(map(str, ints)), dtype=object)
+    cells[rest] = np.array(list(map(float.__repr__, column[rest].tolist())), dtype=object)
+    cells[np.isnan(column)] = "NaN"
+    return cells.tolist()
+
+
+_ENUMS = (Role, IndicatorKind, Standing, MedianTag)
+
+
+def _csv_rule(kind: type) -> Callable[[Sequence], list[str]]:
+    """How a CSV column writes its values of this type."""
     if issubclass(kind, bool):
-        return {True: "true", False: "false"}.__getitem__
+        return _each({True: "true", False: "false"}.__getitem__)
     if issubclass(kind, float):
-        return _float_cell
-    if issubclass(kind, (Role, IndicatorKind, Standing, MedianTag)):
-        return _LABELS.__getitem__
-    return str
+        return _float_cells
+    if issubclass(kind, _ENUMS):
+        return _each(_LABELS.__getitem__)
+    return _each(str)
 
 
 _JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
@@ -587,33 +630,41 @@ def _json_float(value: float) -> str:
     return _JSON_FLOATS.get(text, text)
 
 
-def _json_rule(kind: type) -> Callable[[object], str]:
-    """The JSON token of a value of this type, as json.dumps writes it; NaN becomes null."""
+def _json_rule(kind: type) -> Callable[[Sequence], list[str]]:
+    """The JSON tokens of values of this type, as json.dumps writes them; NaN becomes null."""
     if issubclass(kind, bool):
-        return {True: "true", False: "false"}.__getitem__
+        return _each({True: "true", False: "false"}.__getitem__)
     if issubclass(kind, int):
-        return int.__repr__
+        return _each(int.__repr__)
     if issubclass(kind, float):
-        return _json_float
-    if issubclass(kind, (Role, IndicatorKind, Standing, MedianTag)):
-        return _JSON_LABELS.__getitem__
+        return _each(_json_float)
+    if issubclass(kind, _ENUMS):
+        return _each(_JSON_LABELS.__getitem__)
     if issubclass(kind, str):
-        return encode_basestring_ascii
+        return _each(encode_basestring_ascii)
     if kind is type(None):
-        return lambda _: "null"
+        return lambda values: ["null"] * len(values)
     raise TypeError(f"report.json cannot hold a value of type {kind.__name__}")
 
 
-def _format_column(column: Sequence, rule_for: Callable[[type], Callable]) -> list:
-    """Each value of a column through the rule for its type, picked once per type.
+def _format_column(column: Sequence | EnumColumn, rule_for: Callable[[type], Callable]) -> list:
+    """A column's text, each value through the column rule for its type.
 
-    Arrays go through tolist(): numpy 2 writes repr(np.float64(x)) as "np.float64(x)".
+    An EnumColumn formats its members once.  Arrays go through tolist():
+    numpy 2 writes repr(np.float64(x)) as "np.float64(x)".
     """
+    if isinstance(column, EnumColumn):
+        return column.labels(rule_for(type(column.members[0]))(column.members))
     values = column.tolist() if isinstance(column, np.ndarray) else column
-    rules = {kind: rule_for(kind) for kind in set(map(type, values))}
-    if len(rules) == 1:
-        return list(map(rules.popitem()[1], values))
-    return [rules[type(value)](value) for value in values]
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        return rule_for(kinds.pop())(values)
+    cells = [""] * len(values)
+    for kind in kinds:
+        at = [i for i, value in enumerate(values) if type(value) is kind]
+        for i, text in zip(at, rule_for(kind)([values[i] for i in at])):
+            cells[i] = text
+    return cells
 
 
 _csv_column = functools.partial(_format_column, rule_for=_csv_rule)
@@ -622,10 +673,19 @@ _csv_column = functools.partial(_format_column, rule_for=_csv_rule)
 _json_column = functools.partial(_format_column, rule_for=_json_rule)
 
 
+def _plain(cells: list[str]) -> bool:
+    """Whether no cell holds a comma, a quote or a line break: the block needs no quoting."""
+    text = "".join(cells)
+    return not any(special in text for special in ',"\r\n')
+
+
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """One CSV file, formatted column by column in blocks of rows.
 
-    A cell is quoted only when it holds a comma, a quote or a newline.
+    A cell is quoted only when it holds a comma, a quote or a newline.  A
+    block of more than one column with no comma, quote or line break in
+    any cell is joined as it is; any other goes through csv.writer, which
+    also writes a row of one empty cell as "".
     """
     n_rows = len(columns[0])
     try:
@@ -634,7 +694,10 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -
             writer.writerow(header)
             for lo in range(0, n_rows, _BLOCK_ROWS):
                 block = [_csv_column(c[lo:lo + _BLOCK_ROWS]) for c in columns]
-                writer.writerows(zip(*block))
+                if len(block) > 1 and all(map(_plain, block)):
+                    handle.write("\n".join(map(",".join, zip(*block))) + "\n")
+                else:
+                    writer.writerows(zip(*block))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

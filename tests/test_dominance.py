@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -81,6 +82,36 @@ def tied_groups(draw, max_size=40):
             columns.append(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     qualified = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return [((c1, c2, c3), q) for c1, c2, c3, q in zip(*columns, qualified)]
+
+
+@st.composite
+def bitset_groups(draw):
+    """(values, qualified) of up to 200 rows: several 64-bit words, the last one partial.
+
+    Components come from {-0.0, 0.0, 1, 2}, so ties are everywhere and signed
+    zeros must count as equal; a column may be constant, and a group may be
+    all qualified or all denied.
+    """
+    n = draw(st.sampled_from([1, 63, 64, 65, 128, 129, 200]) | st.integers(0, 200))
+    levels = st.sampled_from([-0.0, 0.0, 1.0, 2.0])
+    columns = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            columns.append([draw(levels)] * n)
+        else:
+            columns.append(draw(st.lists(levels, min_size=n, max_size=n)))
+    outcome = draw(st.sampled_from(["mixed", "all", "none"]))
+    if outcome == "mixed":
+        qualified = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        qualified = [outcome == "all"] * n
+    values = np.array(columns, dtype=float).T.reshape(-1, 3)
+    return values, np.array(qualified, dtype=bool)
+
+
+POPCOUNTS = [dominance._table_popcount]
+if hasattr(np, "bitwise_count"):
+    POPCOUNTS.append(dominance._numpy_popcount)
 
 
 class TestParetoDominates:
@@ -251,6 +282,72 @@ class TestBlockKernel:
         tracemalloc.start()
         try:
             result = pareto_violation_ratio(apps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.dominating_pairs > 0
+        assert peak < 6 * dominance._BLOCK_CELLS + 160 * n
+
+
+class TestBitsetKernel:
+    """The bitset pair counts against the whole-matrix reference and the blocked kernel."""
+
+    @pytest.mark.parametrize("popcount", POPCOUNTS, ids=lambda f: f.__name__)
+    @given(bitset_groups())
+    def test_matches_whole_matrix_reference(self, popcount, group):
+        values, qualified = group
+        apps = population([(tuple(v), bool(q)) for v, q in zip(values.tolist(), qualified)])
+        ratio, dominating, violating, none_comparable, _ = pvr_reference(apps)
+        # _BLOCK_CELLS = 1 makes every 64-bit column word a block of its own.
+        with mock.patch.object(dominance, "_BLOCK_CELLS", 1), \
+                mock.patch.object(dominance, "_popcount", popcount):
+            result = pareto_violation_ratio(values, qualified)
+        assert result.dominating_pairs == dominating
+        assert result.violations == violating
+        assert result.ratio == ratio
+        assert result.no_comparable_pairs == none_comparable
+
+    def test_popcounts_count_every_bit(self):
+        rng = np.random.default_rng(2)
+        words = np.concatenate([
+            np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+            rng.integers(0, 2**64 - 1, 200, dtype=np.uint64, endpoint=True),
+        ]).reshape(-1, 4)
+        expected = sum(bin(w).count("1") for w in words.ravel().tolist())
+        for popcount in POPCOUNTS:
+            assert popcount(words) == expected
+
+    def test_large_tied_group_matches_the_blocked_count(self):
+        # The non-bibliometric components of the big-groups benchmark round.
+        rng = np.random.default_rng(11)
+        n = 1600
+        values = np.column_stack([rng.poisson(3, n), rng.poisson(6, n), np.zeros(n)]).astype(float)
+        qualified = rng.random(n) < 0.3
+        dominating = violating = 0
+        for lo, dom in dominance._dominance_blocks(values):
+            dominating += int(np.count_nonzero(dom))
+            denied = ~qualified[lo:lo + len(dom)]
+            violating += int(np.count_nonzero(dom[denied][:, qualified]))
+        result = pareto_violation_ratio(values, qualified)
+        assert (result.dominating_pairs, result.violations) == (dominating, violating)
+        assert dominating > 0 and violating > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_indicators_are_an_error(self, bad):
+        values = np.array([[1.0, 2.0, 3.0], [0.0, bad, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            pareto_violation_ratio(values, np.array([True, False]))
+
+    def test_array_entry_memory_stays_within_a_few_blocks(self):
+        # Prefix tables over all the columns at once would take
+        # 3 * (n + 1) * n / 8 bytes, 150 MB at n = 20,000.
+        rng = np.random.default_rng(5)
+        n = 20_000
+        values = rng.integers(0, 6, (n, 3)).astype(float)
+        qualified = rng.random(n) < 0.5
+        tracemalloc.start()
+        try:
+            result = pareto_violation_ratio(values, qualified)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

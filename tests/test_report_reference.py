@@ -9,6 +9,7 @@ must be byte-identical.  The streamed report.json writer is also checked
 against json.dumps on generated tables of every value type.
 """
 
+import csv
 import io
 import json
 import math
@@ -25,7 +26,14 @@ from asnqual.dominance import ApplicationRecord
 from asnqual.indicators import IndicatorKind, IndicatorVector
 from asnqual.ingest import RoundDataset, applicant_id, load_default_registry
 from asnqual import report as report_module
-from asnqual.report import _csv_column, _json_column, _write_json, analyze_round, emit
+from asnqual.report import (
+    _csv_column,
+    _json_column,
+    _write_csv,
+    _write_json,
+    analyze_round,
+    emit,
+)
 from asnqual.thresholds import DisciplineId, MedianSet, MedianTag, Role, Standing
 from report_reference import cell, jsonable, reference_emit, reference_tables
 
@@ -177,3 +185,37 @@ def test_streamed_json_is_the_json_dumps_text(tables, block_rows):
     with mock.patch.object(report_module, "_BLOCK_ROWS", block_rows):
         _write_json(out, tables)
     assert out.getvalue() == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+# Cells csv.writer must quote, or may leave bare (a lone carriage return).
+CSV_TEXT = st.text(alphabet=st.sampled_from('a ,"\r\n\\|'), max_size=3)
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns) of one to three text or float columns, empty cells included."""
+    n_rows = draw(st.integers(0, 9))
+    header = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), min_size=1, max_size=3))
+    columns = []
+    for _ in header:
+        if draw(st.booleans()):
+            columns.append(draw(st.lists(CSV_TEXT, min_size=n_rows, max_size=n_rows)))
+        else:
+            values = draw(st.lists(FLOATS, min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(values, dtype=float))
+    return header, columns
+
+
+@given(csv_tables(), st.sampled_from([1, 2, 1024]))
+def test_csv_files_are_the_csv_writer_text(table, block_rows):
+    header, columns = table
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    writer.writerows([cell(v) for v in row] for row in zip(*values))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(report_module, "_BLOCK_ROWS", block_rows):
+        _write_csv(Path(tmp) / "table.csv", header, columns)
+        text = (Path(tmp) / "table.csv").read_bytes().decode("utf-8")
+    assert text == expected.getvalue()
