@@ -607,46 +607,80 @@ def load_round(
     return dataset, registry_diags + app_diags + median_diags
 
 
-def _format_value(value: float) -> str:
-    """Shortest exact decimal form; integers lose the trailing .0."""
-    return str(int(value)) if value.is_integer() else repr(value)
+# Rows per block of a CSV file or of a report.json table: each block is
+# formatted column by column, and is all of a table that is held as text.
+BLOCK_ROWS = 1024
+_FLAG_CELLS = np.array(["false", "true"], dtype=object)
+
+
+def _number_cells(values: np.ndarray) -> list[str]:
+    """Cells of a float column: finite integral values as integers, the rest by repr."""
+    integral = np.isfinite(values) & (np.trunc(values) == values)
+    cells = np.empty(len(values), dtype=object)
+    cells[integral] = np.array(list(map(str, map(int, values[integral].tolist()))), dtype=object)
+    cells[~integral] = np.array(list(map(float.__repr__, values[~integral].tolist())), dtype=object)
+    return cells.tolist()
+
+
+def _plain(cells: Sequence[str]) -> bool:
+    """Whether no cell holds a comma, a quote or a line break: the block needs no quoting."""
+    text = "".join(cells)
+    return not any(special in text for special in ',"\r\n')
+
+
+def write_csv(
+    target: str | Path | IO[str], header: Sequence[str], n_rows: int, block: Callable[[slice], list]
+) -> None:
+    """CSV of `n_rows` rows, `BLOCK_ROWS` at a time; `block(rows)` gives their cells by column.
+
+    A cell is quoted only when it holds a comma, a quote or a newline.  A
+    block of more than one column with no comma, quote or line break in
+    any cell is joined as it is; any other goes through csv.writer, which
+    also writes a row of one empty cell as "".
+    """
+    if isinstance(target, (str, Path)):
+        try:
+            with open(target, "w", encoding="utf-8", newline="") as handle:
+                return write_csv(handle, header, n_rows, block)
+        except OSError as exc:
+            raise OSError(f"cannot write {target}: {exc}") from exc
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    for lo in range(0, n_rows, BLOCK_ROWS):
+        cells = block(slice(lo, lo + BLOCK_ROWS))
+        if len(cells) > 1 and all(map(_plain, cells)):
+            target.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        else:
+            writer.writerows(zip(*cells))
 
 
 def write_applications(
     applications: ApplicationTable | Iterable[ApplicationRecord], target: str | Path | IO[str]
 ) -> None:
-    """The applications as CSV, formatted column by column as the rows are written."""
+    """The applications as CSV, each block of rows formatted column by column."""
     table = applications
     if not isinstance(table, ApplicationTable):
         table = ApplicationTable.from_records(table)
     labels = np.array(
-        [(d.code, d.sub_discipline or "", role.value) for d, role, _ in table.groups], dtype=object
+        [(d.code, d.sub_discipline or "", str(r.value)) for d, r, _ in table.groups], dtype=object
     ).reshape(-1, 3)
-    _write_rows(target, APPLICATION_COLUMNS, zip(
-        table.last, table.first, *labels[table.group].T.tolist(),
-        *(map(_format_value, values) for values in table.ind.T.tolist()),
-        map({True: "true", False: "false"}.__getitem__, table.qualified.tolist()),
-    ))
+    write_csv(target, APPLICATION_COLUMNS, len(table), lambda rows: [
+        table.last[rows], table.first[rows], *labels[table.group[rows]].T.tolist(),
+        *map(_number_cells, table.ind[rows].T),
+        _FLAG_CELLS[table.qualified[rows].view(np.int8)].tolist(),
+    ])
 
 
 def write_medians(sets: Iterable[MedianSet], target: str | Path | IO[str]) -> None:
-    _write_rows(target, MEDIAN_COLUMNS, (
-        [m.discipline.code, m.discipline.sub_discipline or "", m.role.value,
-         _KIND_TO_CODE[m.kind], *map(_format_value, m.as_tuple())]
-        for m in sets
-    ))
+    sets = list(sets)
+    labels = [(m.discipline.code, m.discipline.sub_discipline or "", str(m.role.value),
+               _KIND_TO_CODE[m.kind]) for m in sets]
+    values = np.array([m.as_tuple() for m in sets], dtype=float).reshape(-1, 3)
+    write_csv(target, MEDIAN_COLUMNS, len(sets), lambda rows: [
+        *zip(*labels[rows]), *map(_number_cells, values[rows].T)
+    ])
 
 
 def write_registry(entries: Iterable[DisciplineRegistryEntry], target: str | Path | IO[str]) -> None:
-    _write_rows(target, REGISTRY_COLUMNS, (
-        [e.discipline.code, e.area_acronym, _KIND_TO_CODE[e.kind]] for e in entries
-    ))
-
-
-def _write_rows(target: str | Path | IO[str], header: Sequence[str], rows: Iterable) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            return _write_rows(handle, header, rows)
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    rows = [(e.discipline.code, e.area_acronym, _KIND_TO_CODE[e.kind]) for e in entries]
+    write_csv(target, REGISTRY_COLUMNS, len(rows), lambda block: list(zip(*rows[block])))

@@ -13,7 +13,6 @@ output is deterministic for a fixed report.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -28,7 +27,7 @@ import numpy as np
 
 from .dominance import pareto_violation_ratio
 from .indicators import IndicatorKind
-from .ingest import AREA_ACRONYMS, RoundDataset
+from .ingest import AREA_ACRONYMS, BLOCK_ROWS, RoundDataset, write_csv
 from .stats import (
     CorrelationResult,
     FiveNumberSummary,
@@ -73,9 +72,6 @@ _ROLE_KINDS = list(itertools.product(Role, IndicatorKind))
 _ROLES, _KINDS = tuple(Role), tuple(IndicatorKind)
 # Standing codes of the classified table: 0 over the median, 1 under it.
 _STANDINGS = (Standing.OVER_MEDIAN, Standing.UNDER_MEDIAN)
-# Rows per block of a CSV file or of a report.json table: each block is
-# formatted column by column, and is all of a table that is held as text.
-_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -625,9 +621,12 @@ _JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_LABELS = {member: encode_basestring_ascii(label) for member, label in _LABELS.items()}
 
 
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _JSON_FLOATS.get(text, text)
+def _json_floats(values: Sequence[float]) -> list[str]:
+    """JSON tokens of floats: repr, with NaN as null and infinities as +-Infinity."""
+    tokens = list(map(float.__repr__, values))
+    for i in np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float))).tolist():
+        tokens[i] = _JSON_FLOATS[tokens[i]]
+    return tokens
 
 
 def _json_rule(kind: type) -> Callable[[Sequence], list[str]]:
@@ -637,7 +636,7 @@ def _json_rule(kind: type) -> Callable[[Sequence], list[str]]:
     if issubclass(kind, int):
         return _each(int.__repr__)
     if issubclass(kind, float):
-        return _each(_json_float)
+        return _json_floats
     if issubclass(kind, _ENUMS):
         return _each(_JSON_LABELS.__getitem__)
     if issubclass(kind, str):
@@ -673,33 +672,9 @@ _csv_column = functools.partial(_format_column, rule_for=_csv_rule)
 _json_column = functools.partial(_format_column, rule_for=_json_rule)
 
 
-def _plain(cells: list[str]) -> bool:
-    """Whether no cell holds a comma, a quote or a line break: the block needs no quoting."""
-    text = "".join(cells)
-    return not any(special in text for special in ',"\r\n')
-
-
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    """One CSV file, formatted column by column in blocks of rows.
-
-    A cell is quoted only when it holds a comma, a quote or a newline.  A
-    block of more than one column with no comma, quote or line break in
-    any cell is joined as it is; any other goes through csv.writer, which
-    also writes a row of one empty cell as "".
-    """
-    n_rows = len(columns[0])
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for lo in range(0, n_rows, _BLOCK_ROWS):
-                block = [_csv_column(c[lo:lo + _BLOCK_ROWS]) for c in columns]
-                if len(block) > 1 and all(map(_plain, block)):
-                    handle.write("\n".join(map(",".join, zip(*block))) + "\n")
-                else:
-                    writer.writerows(zip(*block))
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    """One CSV file, each block of rows formatted column by column."""
+    write_csv(path, header, len(columns[0]), lambda rows: [_csv_column(c[rows]) for c in columns])
 
 
 # The layout of json.dumps(document, indent=2, sort_keys=True): table names at
@@ -727,8 +702,8 @@ def _write_json(handle: IO[str], tables: dict[str, tuple[list[str], list[Sequenc
             handle.write("[]\n  }")
             continue
         handle.write("[\n      [\n        ")
-        for lo in range(0, n_rows, _BLOCK_ROWS):
-            block = [_json_column(c[lo:lo + _BLOCK_ROWS]) for c in columns]
+        for lo in range(0, n_rows, BLOCK_ROWS):
+            block = [_json_column(c[lo:lo + BLOCK_ROWS]) for c in columns]
             if lo:
                 handle.write(_JSON_ROW_SEP)
             handle.write(_JSON_ROW_SEP.join(map(_JSON_VALUE_SEP.join, zip(*block))))

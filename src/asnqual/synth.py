@@ -31,7 +31,6 @@ from .ingest import (
     ApplicationTable,
     DisciplineRegistryEntry,
     RoundDataset,
-    applicant_id,
     load_default_registry,
 )
 from .thresholds import DisciplineId, MedianSet, Role, compute_median, required_exceedances
@@ -295,10 +294,11 @@ def synthesize_round(
             indicators.append(ind)
             groups.append((discipline, role, kind))
             sizes.append(n)
-    last = [f"Applicant-{k:05d}" for k in range(1, sum(sizes) + 1)]
+    last = list(map("Applicant-{:05d}".format, range(1, sum(sizes) + 1)))
     first = ["Synth"] * len(last)
+    # applicant_id escapes nothing here: no synthesized name holds | or \
     table = ApplicationTable.from_rows(
-        list(map(applicant_id, last, first)), last, first, groups,
+        list(map("{}|Synth".format, last)), last, first, groups,
         np.repeat(np.arange(len(groups), dtype=np.int32), sizes),
         np.concatenate(indicators) if indicators else [],
         np.concatenate(decisions) if decisions else [],

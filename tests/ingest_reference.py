@@ -1,10 +1,12 @@
-"""Frozen per-row references of `parse_applications` and `RoundDataset.validate`.
+"""Frozen per-row references of `parse_applications`, `RoundDataset.validate`
+and `write_applications`.
 
-Compact copies of both as they were before ingest moved onto columns:
+Compact copies of them as they were before ingest moved onto columns:
 `csv.DictReader` reads every row into a dict first, then each row is checked
 in turn and kept as an ApplicationRecord, and the dataset check resolves a
-median set for every application.  They import the domain classes only, so
-a change to the ingest module's own code cannot leak into them.
+median set for every application.  The writer formats one row at a time and
+hands every row to csv.writer.  They import the domain classes only, so a
+change to the ingest module's own code cannot leak into them.
 """
 
 from __future__ import annotations
@@ -182,3 +184,21 @@ def reference_validate(dataset):
                 f"{app.discipline.code} role {app.role.value}"
             )
     return problems
+
+
+def _format_value(value):
+    """Shortest exact decimal form; integers lose the trailing .0."""
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+def reference_write_applications(table, handle):
+    """The rows of an ApplicationTable as CSV, each row formatted and written on its own."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(APPLICATION_COLUMNS)
+    for i in range(len(table)):
+        discipline, role, _ = table.groups[table.group[i]]
+        writer.writerow([
+            table.last[i], table.first[i], discipline.code, discipline.sub_discipline or "",
+            role.value, *map(_format_value, table.ind[i].tolist()),
+            "true" if table.qualified[i] else "false",
+        ])

@@ -1,24 +1,37 @@
-"""The streaming column parser against its frozen per-row reference (ingest_reference.py).
+"""The streaming column parser and the block writer against their frozen
+per-row references (ingest_reference.py).
 
-The inputs are the fuzz corpus of test_cli_fuzz.py plus what csv.DictReader
-has rules for: blank lines, short and long rows, a column named twice,
-every line ending and quoted fields that span lines; files may start with
-a byte-order mark and hold a byte that is not UTF-8 past the first decode
-chunk.  The records, the (line, message, severity) of every diagnostic and
-any hard error must be the same.
+The parser's inputs are the fuzz corpus of test_cli_fuzz.py plus what
+csv.DictReader has rules for: blank lines, short and long rows, a column
+named twice, every line ending and quoted fields that span lines; files may
+start with a byte-order mark and hold a byte that is not UTF-8 past the
+first decode chunk.  The records, the (line, message, severity) of every
+diagnostic and any hard error must be the same.  The writer's inputs are
+tables one row short of, at, and past the 1,024-row block, with names that
+need quoting and values at the edges of the integer and repr forms; the
+bytes must be the same.
 """
 
 import csv
 import io
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asnqual.ingest import load_default_registry, parse_applications
-from ingest_reference import reference_parse_applications
+from asnqual.indicators import IndicatorKind
+from asnqual.ingest import (
+    ApplicationTable,
+    load_default_registry,
+    parse_applications,
+    write_applications,
+)
+from asnqual.thresholds import DisciplineId, Role
+from ingest_reference import reference_parse_applications, reference_write_applications
 from test_cli_fuzz import APPLICATIONS, NEWLINES, csv_text, damaged_csv
 
 REGISTRY = load_default_registry()
@@ -137,3 +150,55 @@ def test_a_byte_past_the_first_chunk_wins_over_an_earlier_hard_error(tmp_path, d
 def test_padding_fills_the_first_decode_chunk():
     # so the bad byte above always lies past the first chunk
     assert len(padding(400).encode()) > DECODE_CHUNK
+
+
+GROUPS = [
+    (DisciplineId.parse("01/A1"), Role.FULL, IndicatorKind.BIBLIOMETRIC),
+    (DisciplineId.parse("08/C1"), Role.ASSOCIATE, IndicatorKind.NON_BIBLIOMETRIC),
+    (DisciplineId.parse("13/A5", "13/A5-x"), Role.FULL, IndicatorKind.NON_BIBLIOMETRIC),
+]
+# Each side of the integral test: signed zero, the least subnormal, 2**53 + 1
+# (a double only as 2**53), 1e16 (where the report's float rule turns to repr)
+# and beyond.
+EDGE_VALUES = [-0.0, 5e-324, float(2**53 + 1), 1e16, 1e20, 0.1, 3.0]
+# A block with one of these characters in a name goes through csv.writer.
+NAMES = st.text(alphabet=st.sampled_from(',"\r|\\ab'), min_size=1, max_size=4)
+
+
+@st.composite
+def application_tables(draw, finite=False):
+    """A table of 1,023 to 2,049 rows: edge values, and special names at a few rows."""
+    n = draw(st.sampled_from([1023, 1024, 1025, 2049]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = EDGE_VALUES if finite else [*EDGE_VALUES, math.inf, -math.inf, math.nan]
+    ind = rng.choice(values, size=(n, 3))
+    drawn = rng.random((n, 3)) < 0.5
+    ind[drawn] = rng.lognormal(1.0, 2.0, drawn.sum())
+    last = [f"Applicant-{i}" for i in range(n)]
+    first = ["Synth"] * n
+    if not finite:
+        for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            last[row], first[row] = draw(NAMES), draw(NAMES)
+    group = rng.integers(0, len(GROUPS), n)
+    ids = [f"{a}|{b}" for a, b in zip(last, first)]
+    return ApplicationTable.from_rows(ids, last, first, GROUPS, group, ind, rng.random(n) < 0.5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(application_tables())
+def test_written_round_is_the_per_row_writer_text(table):
+    expected = io.StringIO()
+    reference_write_applications(table, expected)
+    written = io.StringIO()
+    write_applications(table, written)
+    assert written.getvalue() == expected.getvalue()
+
+
+@settings(max_examples=10, deadline=None)
+@given(application_tables(finite=True))
+def test_a_written_round_reads_back_equal(table):
+    text = io.StringIO()
+    write_applications(table, text)
+    parsed, diagnostics = parse_applications(io.StringIO(text.getvalue()), REGISTRY)
+    assert diagnostics == []
+    assert parsed == table

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from asnqual.dominance import ApplicationRecord
 from asnqual.indicators import IndicatorKind, IndicatorVector
 from asnqual.ingest import RoundDataset, applicant_id, load_default_registry
+from asnqual import ingest as ingest_module
 from asnqual import report as report_module
 from asnqual.report import (
     _csv_column,
@@ -182,7 +183,7 @@ def test_streamed_json_is_the_json_dumps_text(tables, block_rows):
         rows = [[jsonable(v) for v in row] for row in zip(*values)]
         document[name] = {"columns": header, "rows": rows}
     out = io.StringIO()
-    with mock.patch.object(report_module, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(report_module, "BLOCK_ROWS", block_rows):
         _write_json(out, tables)
     assert out.getvalue() == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
@@ -215,7 +216,7 @@ def test_csv_files_are_the_csv_writer_text(table, block_rows):
     values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     writer.writerows([cell(v) for v in row] for row in zip(*values))
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(report_module, "_BLOCK_ROWS", block_rows):
+            mock.patch.object(ingest_module, "BLOCK_ROWS", block_rows):
         _write_csv(Path(tmp) / "table.csv", header, columns)
         text = (Path(tmp) / "table.csv").read_bytes().decode("utf-8")
     assert text == expected.getvalue()
