@@ -70,10 +70,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = SynthConfig.load(args.config) if args.config else default_synth_config()
     dataset = synthesize_round(config, args.seed)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create {out}: {exc}") from exc
     write_applications(dataset.applications, out / "applications.csv")
     write_medians(dataset.medians, out / "medians.csv")
     write_registry(dataset.registry, out / "registry.csv")

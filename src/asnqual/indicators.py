@@ -107,6 +107,17 @@ class PublicationRecord:
         return tuple(p for p in self.publications if p.year in window)
 
 
+def store_finite_nonnegative(instance: object, names: tuple[str, str, str]) -> None:
+    """Store the named fields of a frozen dataclass as floats, each finite and non-negative."""
+    for name in names:
+        value = float(getattr(instance, name))
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        object.__setattr__(instance, name, value)
+
+
 @dataclass(frozen=True)
 class IndicatorVector:
     """The indicator triple attached to an applicant for one discipline/role."""
@@ -117,13 +128,7 @@ class IndicatorVector:
     kind: IndicatorKind
 
     def __post_init__(self) -> None:
-        for name in ("ind1", "ind2", "ind3"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
-            object.__setattr__(self, name, value)
+        store_finite_nonnegative(self, ("ind1", "ind2", "ind3"))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.ind1, self.ind2, self.ind3)

@@ -14,8 +14,9 @@ import csv
 import io
 import math
 import operator
+import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -107,10 +108,6 @@ class DisciplineRegistryEntry:
                 f"got {self.kind.value}"
             )
 
-    @property
-    def area_code(self) -> str:
-        return self.discipline.area
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -149,7 +146,7 @@ class ApplicationTable(Sequence):
     ``qualified[i]`` (bool), in group ``group[i]`` (int32).  ``groups`` holds
     the (discipline, role, kind) of each group, and every group has a row.
     Indexing and iteration yield ApplicationRecord rows, and a table equals a
-    list or tuple of the same records.
+    list or tuple of the same records.  No name or id holds a line break.
     """
 
     ids: list[str]
@@ -159,6 +156,13 @@ class ApplicationTable(Sequence):
     group: np.ndarray
     ind: np.ndarray
     qualified: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.last, self.first, self.ids):
+            text = "".join(column)  # one scan per column; the row is found only on failure
+            if "\n" in text or "\r" in text:
+                row = next(i for i, name in enumerate(column) if "\n" in name or "\r" in name)
+                raise ValueError(f"row {row}: line break in applicant name {column[row]!r}")
 
     @classmethod
     def from_rows(
@@ -613,12 +617,14 @@ BLOCK_ROWS = 1024
 _FLAG_CELLS = np.array(["false", "true"], dtype=object)
 
 
-def _number_cells(values: np.ndarray) -> list[str]:
-    """Cells of a float column: finite integral values as integers, the rest by repr."""
-    integral = np.isfinite(values) & (np.trunc(values) == values)
+def number_cells(values: Sequence[float], nan: str = "nan", below: float = math.inf) -> list[str]:
+    """Cells of a float column: NaN as `nan`, integral values under `below` as integers, else repr."""
+    values = np.asarray(values, dtype=float)
+    integral = (np.abs(values) < below) & (np.trunc(values) == values)
     cells = np.empty(len(values), dtype=object)
     cells[integral] = np.array(list(map(str, map(int, values[integral].tolist()))), dtype=object)
     cells[~integral] = np.array(list(map(float.__repr__, values[~integral].tolist())), dtype=object)
+    cells[np.isnan(values)] = nan
     return cells.tolist()
 
 
@@ -626,6 +632,26 @@ def _plain(cells: Sequence[str]) -> bool:
     """Whether no cell holds a comma, a quote or a line break: the block needs no quoting."""
     text = "".join(cells)
     return not any(special in text for special in ',"\r\n')
+
+
+@contextmanager
+def output_file(path: str | Path) -> Iterator[IO[str]]:
+    """A UTF-8 text file written as `<name>.part` and renamed over `path` once complete.
+
+    The directory is created; a failed write leaves no file, and its OSError names `path`.
+    """
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(part, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(part, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):  # gone after the rename, or never made
+            part.unlink()
 
 
 def write_csv(
@@ -639,11 +665,8 @@ def write_csv(
     also writes a row of one empty cell as "".
     """
     if isinstance(target, (str, Path)):
-        try:
-            with open(target, "w", encoding="utf-8", newline="") as handle:
-                return write_csv(handle, header, n_rows, block)
-        except OSError as exc:
-            raise OSError(f"cannot write {target}: {exc}") from exc
+        with output_file(target) as handle:
+            return write_csv(handle, header, n_rows, block)
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(header)
     for lo in range(0, n_rows, BLOCK_ROWS):
@@ -666,7 +689,7 @@ def write_applications(
     ).reshape(-1, 3)
     write_csv(target, APPLICATION_COLUMNS, len(table), lambda rows: [
         table.last[rows], table.first[rows], *labels[table.group[rows]].T.tolist(),
-        *map(_number_cells, table.ind[rows].T),
+        *map(number_cells, table.ind[rows].T),
         _FLAG_CELLS[table.qualified[rows].view(np.int8)].tolist(),
     ])
 
@@ -677,7 +700,7 @@ def write_medians(sets: Iterable[MedianSet], target: str | Path | IO[str]) -> No
                _KIND_TO_CODE[m.kind]) for m in sets]
     values = np.array([m.as_tuple() for m in sets], dtype=float).reshape(-1, 3)
     write_csv(target, MEDIAN_COLUMNS, len(sets), lambda rows: [
-        *zip(*labels[rows]), *map(_number_cells, values[rows].T)
+        *zip(*labels[rows]), *map(number_cells, values[rows].T)
     ])
 
 

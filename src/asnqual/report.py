@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -27,7 +26,7 @@ import numpy as np
 
 from .dominance import pareto_violation_ratio
 from .indicators import IndicatorKind
-from .ingest import AREA_ACRONYMS, BLOCK_ROWS, RoundDataset, write_csv
+from .ingest import AREA_ACRONYMS, BLOCK_ROWS, RoundDataset, number_cells, output_file, write_csv
 from .stats import (
     CorrelationResult,
     FiveNumberSummary,
@@ -61,12 +60,8 @@ class InvalidDatasetError(ValueError):
 
 
 ROLE_LABELS = {Role.FULL: "full", Role.ASSOCIATE: "associate"}
-KIND_LABELS = {
-    IndicatorKind.BIBLIOMETRIC: "bibliometric",
-    IndicatorKind.NON_BIBLIOMETRIC: "non-bibliometric",
-}
 # How every enum member is written, in CSV and in JSON.
-_LABELS = {**ROLE_LABELS, **KIND_LABELS, **{s: s.value for s in Standing}}
+_LABELS = {**ROLE_LABELS, **{m: m.value for m in (*IndicatorKind, *Standing)}}
 _LABELS.update({t: t.value or "none" for t in MedianTag})
 _ROLE_KINDS = list(itertools.product(Role, IndicatorKind))
 _ROLES, _KINDS = tuple(Role), tuple(IndicatorKind)
@@ -524,7 +519,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     for kind in IndicatorKind:
         kind_pairs = [p for p in median_pairs if p[0].kind is kind]
         for i in (1, 2, 3):
-            correlations.append(_fa_correlation(f"M{i}", f"m{i}", KIND_LABELS[kind], kind_pairs))
+            correlations.append(_fa_correlation(f"M{i}", f"m{i}", kind.value, kind_pairs))
     suffix = {Role.FULL: "F", Role.ASSOCIATE: "A"}
     sorted_role_kind = role_kind[order]
     for rk, (role, kind) in enumerate(_ROLE_KINDS):
@@ -532,14 +527,14 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         for i, j in ((0, 1), (0, 2), (1, 2)):
             x, y = (f"ind{c + 1}.{suffix[role]}" for c in (i, j))
             result = _safe_spearman(vectors[:, i], vectors[:, j])
-            correlations.append(CorrelationRow(x, y, KIND_LABELS[kind], result))
+            correlations.append(CorrelationRow(x, y, kind.value, result))
     for label in ("PQO", "PQU"):
         for kind in IndicatorKind:
             correlations.append(
-                _fa_correlation(label, label.lower(), KIND_LABELS[kind], pairs_of[kind])
+                _fa_correlation(label, label.lower(), kind.value, pairs_of[kind])
             )
     for kind in IndicatorKind:
-        correlations.append(_fa_correlation("PVR", "pvr", KIND_LABELS[kind], pairs_of[kind]))
+        correlations.append(_fa_correlation("PVR", "pvr", kind.value, pairs_of[kind]))
     correlations.append(_fa_correlation("PVR", "pvr", "all", pairs))
 
     tag_rows: list[MedianTagRow] = []
@@ -590,20 +585,9 @@ def _each(rule: Callable[[object], str]) -> Callable[[Sequence], list[str]]:
     return lambda values: list(map(rule, values))
 
 
-def _float_cells(values: Sequence[float]) -> list[str]:
-    """CSV cells of floats: NaN, integral values below 1e16 as integers, the rest by repr."""
-    column = np.asarray(values, dtype=float)
-    integral = (np.trunc(column) == column) & (np.abs(column) < 1e16)
-    ints = column[integral].astype(np.int64).tolist()
-    rest = ~integral
-    cells = np.empty(len(column), dtype=object)
-    cells[integral] = np.array(list(map(str, ints)), dtype=object)
-    cells[rest] = np.array(list(map(float.__repr__, column[rest].tolist())), dtype=object)
-    cells[np.isnan(column)] = "NaN"
-    return cells.tolist()
-
-
 _ENUMS = (Role, IndicatorKind, Standing, MedianTag)
+# A report float in CSV: NaN as NaN, integral values below 1e16 as integers.
+_csv_floats = functools.partial(number_cells, nan="NaN", below=1e16)
 
 
 def _csv_rule(kind: type) -> Callable[[Sequence], list[str]]:
@@ -611,7 +595,7 @@ def _csv_rule(kind: type) -> Callable[[Sequence], list[str]]:
     if issubclass(kind, bool):
         return _each({True: "true", False: "false"}.__getitem__)
     if issubclass(kind, float):
-        return _float_cells
+        return _csv_floats
     if issubclass(kind, _ENUMS):
         return _each(_LABELS.__getitem__)
     return _each(str)
@@ -802,10 +786,6 @@ def emit(report: RoundReport, format: str, target: str | Path) -> list[Path]:
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}, expected csv or json")
     out_dir = Path(target)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create {out_dir}: {exc}") from exc
     tables = _tables(report)
     written: list[Path] = []
     if format == "csv":
@@ -813,17 +793,7 @@ def emit(report: RoundReport, format: str, target: str | Path) -> list[Path]:
             written.append(out_dir / f"{name}.csv")
             _write_csv(written[-1], header, columns)
     else:
-        path = out_dir / "report.json"
-        # Written under a sibling name and renamed into place, so that a
-        # write that fails partway leaves no truncated report.json.
-        part = path.with_name(path.name + ".part")
-        try:
-            with open(part, "w", encoding="utf-8") as handle:
-                _write_json(handle, tables)
-            os.replace(part, path)
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
-        finally:
-            part.unlink(missing_ok=True)
-        written.append(path)
+        written.append(out_dir / "report.json")
+        with output_file(written[-1]) as handle:
+            _write_json(handle, tables)
     return written

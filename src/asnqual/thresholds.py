@@ -10,14 +10,13 @@ does not count as exceeding it.
 from __future__ import annotations
 
 import enum
-import math
 import re
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .dominance import dominates
-from .indicators import IndicatorKind, IndicatorVector
+from .indicators import IndicatorKind, IndicatorVector, store_finite_nonnegative
 
 AREA_CODES = tuple(f"{i:02d}" for i in range(1, 15))
 
@@ -64,9 +63,6 @@ class DisciplineId:
     def code(self) -> str:
         return f"{self.area}/{self.macro_sector}{self.digit}"
 
-    def sort_key(self) -> tuple[str, str]:
-        return (self.code, self.sub_discipline or "")
-
 
 class MissingMedianSetError(KeyError, ValueError):
     """No median set covers a discipline and role.
@@ -97,13 +93,7 @@ class MedianSet:
     kind: IndicatorKind
 
     def __post_init__(self) -> None:
-        for name in ("m1", "m2", "m3"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
-            object.__setattr__(self, name, value)
+        store_finite_nonnegative(self, ("m1", "m2", "m3"))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.m1, self.m2, self.m3)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 from collections import Counter
@@ -289,6 +290,29 @@ class TestApplicationTable:
         assert [d.code for d in diagnostics] == ["value"]
         assert [(d.code, role) for d, role, _ in table.groups] == [("10/A1", Role.ASSOCIATE)]
         assert table.group.tolist() == [0]
+
+    @pytest.mark.parametrize("name", ["Ro\rssi", "Ro\nssi", "Ro\r\nssi"])
+    @pytest.mark.parametrize("field, record_field", [
+        ("ids", "applicant_id"), ("last", "last_name"), ("first", "first_name"),
+    ])
+    def test_a_line_break_in_a_name_is_rejected_with_its_row(self, name, field, record_field):
+        # a report CSV would write a bare \r unquoted, and the file would not load back
+        table, _ = parse_applications(apps_csv(*self.ROWS))
+        columns = {"ids": list(table.ids), "last": list(table.last), "first": list(table.first)}
+        columns[field][2] = name
+        records = list(table)
+        records[2] = dataclasses.replace(records[2], **{record_field: name})
+        builds = (
+            lambda: ApplicationTable.from_rows(
+                columns["ids"], columns["last"], columns["first"], table.groups, table.group,
+                table.ind, table.qualified,
+            ),
+            lambda: ApplicationTable.from_records(records),
+            lambda: RoundDataset(records, [], []),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match=re.escape(f"row 2: line break in applicant name {name!r}")):
+                build()
 
 
 class TestParseMedians:

@@ -162,7 +162,7 @@ GROUPS = [
 # and beyond.
 EDGE_VALUES = [-0.0, 5e-324, float(2**53 + 1), 1e16, 1e20, 0.1, 3.0]
 # A block with one of these characters in a name goes through csv.writer.
-NAMES = st.text(alphabet=st.sampled_from(',"\r|\\ab'), min_size=1, max_size=4)
+NAMES = st.text(alphabet=st.sampled_from(',"|\\ab'), min_size=1, max_size=4)
 
 
 @st.composite

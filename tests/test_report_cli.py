@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -20,6 +21,7 @@ from asnqual.ingest import (
     write_medians,
     write_registry,
 )
+from asnqual import ingest as ingest_module
 from asnqual import report as report_module
 from asnqual.report import _na_histogram, analyze_round, emit
 from asnqual.synth import (
@@ -537,6 +539,73 @@ class TestCli:
         assert f"error: cannot write {out / 'report.json'}: " in capsys.readouterr().err
         assert '"area_table"' in "".join(written)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, earlier, failing", [
+        ("synth", "applications.csv", "medians.csv"),
+        ("analyze", "area_table.csv", "summaries.csv"),
+    ])
+    def test_csv_write_failing_partway_through_a_later_file_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch, command, earlier, failing
+    ):
+        round_dir, out = tmp_path / "round", tmp_path / "out"
+        assert main(["synth", "--out", str(round_dir)]) == 0
+        writes = []
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                writes.append(text)
+                if len(writes) == 2:  # the header went through, the first rows do not
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.handle.write(text)
+
+        output_file = ingest_module.output_file
+
+        @contextlib.contextmanager
+        def full_disk(path):
+            with output_file(path) as handle:
+                yield FullDisk(handle) if path.name == failing else handle
+
+        monkeypatch.setattr(ingest_module, "output_file", full_disk)
+        args = {
+            "synth": ["synth", "--out", str(out)],
+            "analyze": ["analyze", "--applications", str(round_dir / "applications.csv"),
+                        "--medians", str(round_dir / "medians.csv"), "--out", str(out)],
+        }[command]
+        assert main(args) == 2
+        assert f"error: cannot write {out / failing}: " in capsys.readouterr().err
+        assert len(writes) == 2
+        assert (out / earlier).exists() and not (out / failing).exists()
+        assert list(out.rglob("*.part")) == []
+
+    def test_out_directories_are_created(self, tmp_path):
+        round_dir = tmp_path / "a" / "b" / "c"
+        assert main(["synth", "--out", str(round_dir)]) == 0
+        inputs = ["--applications", str(round_dir / "applications.csv"),
+                  "--medians", str(round_dir / "medians.csv")]
+        for format, name in (("csv", "totals.csv"), ("json", "report.json")):
+            out = tmp_path / format / "b" / "c"
+            assert main(["analyze", *inputs, "--out", str(out), "--format", format]) == 0
+            assert (out / name).exists()
+
+    @pytest.mark.parametrize("format", [None, "csv", "json"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, format):
+        round_dir, blocker = tmp_path / "round", tmp_path / "file"
+        assert main(["synth", "--out", str(round_dir)]) == 0
+        capsys.readouterr()
+        blocker.write_text("kept\n", encoding="utf-8")
+        if format is None:
+            args = ["synth", "--out", str(blocker)]
+        else:
+            args = ["analyze", "--applications", str(round_dir / "applications.csv"),
+                    "--medians", str(round_dir / "medians.csv"), "--out", str(blocker),
+                    "--format", format]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker}/") and "Traceback" not in err
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
 
     def test_validation_problems_exit_1(self, tmp_path, capsys):
         data = small_round()
