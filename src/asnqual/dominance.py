@@ -5,12 +5,12 @@ dominates a qualified one on all three indicators.  The violation ratio of
 a (discipline, role) group is the fraction of dominating ordered pairs
 whose outcome breaks that expectation.
 
-The ratio counts pairs on bitsets over the group's rows: a row's ">=-set"
-(the rows it is no lower than on every component) is the AND of three
-prefix sets of the per-component sort orders, and the pair counts are
-popcounts of those sets, less the pairs of equal vectors.  That is
-O(n^2 / 64) word operations per group.  ``violating_pairs``, which lists the
-pairs themselves, compares row blocks of the n x n dominance matrix.
+One kernel serves both the ratio and the listing of the offending pairs.
+A row's ">=-set" (the rows it is no lower than on every component) is a
+bitset over the group's rows, the AND of three prefix sets of the
+per-component sort orders; the ratio's counts are popcounts of those sets
+and the listing unpacks them, both less the pairs of equal vectors.  That is
+O(n^2 / 64) word operations per group.
 """
 
 from __future__ import annotations
@@ -68,15 +68,11 @@ class PvrResult:
     no_comparable_pairs: bool = False
 
 
-# One budget for the two kernels' temporaries, whatever the group size.
-# violating_pairs compares a row block of max(1, _BLOCK_CELLS // n) rows
-# against the group, so each boolean block holds _BLOCK_CELLS cells;
-# pareto_violation_ratio builds its prefix bitsets over a block of
-# max(1, _BLOCK_CELLS // 8 // (n + 1)) 64-bit column words, so each table of
-# n + 1 rows holds about _BLOCK_CELLS bytes.  256 KiB fits in a core's L2
-# cache, and malloc hands the same heap memory from one block to the next;
-# blocks of a few MB are mapped and faulted in afresh for every group, a
-# cost set by the host.
+# One budget, in bytes, for the kernel's temporaries whatever the group size:
+# each prefix table of a word block holds about _BLOCK_CELLS bytes, and so do
+# the unpacked bits of a block listed by violating_pairs.  256 KiB fits in a
+# core's L2 cache, and malloc hands the same heap memory from one block to the
+# next; blocks of a few MB are mapped and faulted in afresh for every group.
 _BLOCK_CELLS = 1 << 18
 
 # Set bits of each byte value, for numpy releases without np.bitwise_count.
@@ -111,25 +107,6 @@ def _group_arrays(apps: Sequence[ApplicationRecord]) -> tuple[np.ndarray, np.nda
     return values, qualified
 
 
-def _dominance_blocks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, dom) per row block, where dom[r, j]: applicant first+r dominates j.
-
-    i dominates j when i is no lower on every component and j is not no
-    lower on every component, i.e. i is strictly higher somewhere.
-    """
-    n = len(values)
-    step = max(1, _BLOCK_CELLS // max(n, 1))
-    columns = values.T
-    for lo in range(0, n, step):
-        rows = columns[:, lo:lo + step]
-        ge = rows[0][:, None] >= columns[0]
-        le = rows[0][:, None] <= columns[0]
-        for k in (1, 2):
-            ge &= rows[k][:, None] >= columns[k]
-            le &= rows[k][:, None] <= columns[k]
-        yield lo, ge & ~le
-
-
 def _tied_pairs(columns: np.ndarray, qualified: np.ndarray) -> tuple[int, int]:
     """Ordered pairs (i, j) of equal vectors, i = j included, and those with i denied, j qualified.
 
@@ -162,16 +139,18 @@ def _sort_positions(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return upper, rank
 
 
-def _ge_pairs(columns: np.ndarray, qualified: np.ndarray) -> tuple[int, int]:
-    """Ordered pairs (i, j), i no lower than j everywhere, and those with i denied, j qualified.
+def _ge_sets(
+    columns: np.ndarray, qualified: np.ndarray, budget: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(first word, >=-sets, the denied rows' >=-sets AND the qualified rows) per word block.
 
     ``columns`` is the group's 3 x n indicator matrix.  Row i's >=-set, the
     rows j it is no lower than, is a bitset over the rows: the AND over
     components k of the first upper[k, i] rows in the order of component k,
     where upper[k, i] counts the rows whose component k is at most row i's.
     Those prefix sets are one table per component, whose row t holds the
-    bits of the first t sorted rows (row j's bit enters at rank[k, j]); the
-    tables are built for one block of 64-bit column words at a time.
+    bits of the first t sorted rows (row j's bit enters at rank[k, j]), built
+    for one block of 64-bit column words at a time, about ``budget`` bytes.
     """
     n = columns.shape[1]
     upper, rank = _sort_positions(columns)
@@ -181,9 +160,8 @@ def _ge_pairs(columns: np.ndarray, qualified: np.ndarray) -> tuple[int, int]:
     qualified_words = np.bitwise_or.reduceat(bits * qualified, rows[::64])
     denied = (~qualified).nonzero()[0]
     n_words = len(qualified_words)
-    step = min(n_words, max(1, _BLOCK_CELLS // 8 // (n + 1)))
+    step = max(1, min(n_words, budget // 8 // (n + 1)))
     tables = np.empty((3, n + 1, step), dtype=np.uint64)
-    ge_pairs = violating = 0
     for first in range(0, n_words, step):
         width = min(step, n_words - first)
         block = slice(64 * first, 64 * (first + width))
@@ -194,11 +172,9 @@ def _ge_pairs(columns: np.ndarray, qualified: np.ndarray) -> tuple[int, int]:
         ge = prefix[0].take(upper[0], axis=0)
         ge &= prefix[1].take(upper[1], axis=0)
         ge &= prefix[2].take(upper[2], axis=0)
-        ge_pairs += _popcount(ge)
-        ge = ge[denied]
-        ge &= qualified_words[first:first + width]
-        violating += _popcount(ge)
-    return ge_pairs, violating
+        violating = ge[denied]
+        violating &= qualified_words[first:first + width]
+        yield first, ge, violating
 
 
 def pareto_violation_ratio(
@@ -210,7 +186,7 @@ def pareto_violation_ratio(
     indicator array and its qualified flags; indicators must be finite.
     i dominates j when i is no lower than j on every component and the two
     vectors differ, so each count is a popcount of the rows' >=-sets (see
-    ``_ge_pairs``) less the pairs of equal vectors.  That is O(n^2 / 64)
+    ``_ge_sets``) less the pairs of equal vectors.  That is O(n^2 / 64)
     word operations after a few sorts, and O(``_BLOCK_CELLS`` + n) extra
     memory.
     """
@@ -226,7 +202,10 @@ def pareto_violation_ratio(
     if len(values) == 0:
         return PvrResult(0.0, 0, 0, no_comparable_pairs=True)
     columns = values.T
-    ge_pairs, ge_violating = _ge_pairs(columns, qualified)
+    ge_pairs = ge_violating = 0
+    for _, ge, violating in _ge_sets(columns, qualified, _BLOCK_CELLS):
+        ge_pairs += _popcount(ge)
+        ge_violating += _popcount(violating)
     tied, tied_violating = _tied_pairs(columns, qualified)
     dominating = ge_pairs - tied
     violating = ge_violating - tied_violating
@@ -241,22 +220,29 @@ def violating_pairs(
     """The dominating pairs (p, q) of one group where p was denied but q qualified.
 
     Pairs come in row-major order of the group's indices; ``limit`` stops the
-    scan after that many.  The n x n dominance matrix is built one row block
-    of about ``_BLOCK_CELLS`` cells at a time, so the extra memory is a few
-    such blocks plus the pairs returned.
+    scan after that many.  The >=-sets of the negated components, with the
+    outcomes swapped, give each qualified q the denied rows p no lower than
+    it; a block of column words is a range of p, so its pairs are listed in
+    order before the next block is built.  The extra memory is a few blocks
+    of about ``_BLOCK_CELLS`` bytes plus the pairs returned.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     values, qualified = _group_arrays(apps)
+    targets = qualified.nonzero()[0]
     pairs: list[tuple[ApplicationRecord, ApplicationRecord]] = []
-    for lo, dom in _dominance_blocks(values):
+    for first, _, sets in _ge_sets(-values.T, ~qualified, _BLOCK_CELLS // 8):
+        # Bit j of word w is row 64 w + j, on a host of either byte order.
+        octets = sets.astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(octets, axis=1, bitorder="little")
+        p, q = bits.T.nonzero()  # ordered by p, then q
+        p, q = p + 64 * first, targets[q]
+        keep = np.logical_or.reduce([column[p] != column[q] for column in values.T])
         room = None if limit is None else limit - len(pairs)
-        if room == 0:
+        p, q = p[keep][:room].tolist(), q[keep][:room].tolist()
+        pairs.extend((apps[i], apps[j]) for i, j in zip(p, q))
+        if len(pairs) == limit:
             break
-        dom &= ~qualified[lo:lo + len(dom), None]
-        dom &= qualified
-        rows, cols = np.nonzero(dom)
-        pairs.extend((apps[lo + i], apps[j]) for i, j in zip(rows[:room], cols[:room]))
     return pairs
 
 

@@ -287,11 +287,11 @@ def _rows(
         try:
             header = next(reader, None)
             if header is None:
-                raise ValueError("input is empty, expected a header row")
+                raise ValueError(f"{_source_name(source)}: input is empty, expected a header row")
             position = {name: i for i, name in enumerate(header)}
             missing = [c for c in columns if c not in position]
             if missing:
-                raise ValueError(f"missing columns: {', '.join(missing)}")
+                raise ValueError(f"{_source_name(source)}: missing columns: {', '.join(missing)}")
             picks = [position[c] for c in columns]
             pick, width = operator.itemgetter(*picks), max(picks) + 1
             for row in reader:
@@ -306,14 +306,14 @@ def _rows(
             raise ValueError(f"{_source_name(source)}: line {reader.line_num}: {exc}") from None
 
 
-def _fail(rows: Iterator, message: str) -> NoReturn:
-    """Raise a hard error once the rest of the input is read.
+def _fail(source: str | Path | IO[str], rows: Iterator, message: str) -> NoReturn:
+    """Raise a hard error naming the input once the rest of it is read.
 
     An input that is not UTF-8 is reported as such, whichever row fails first.
     """
     for _ in rows:
         pass
-    raise ValueError(message)
+    raise ValueError(f"{_source_name(source)}: {message}")
 
 
 def _checked(code: str, build: Callable[..., _T], *args: object) -> _T:
@@ -407,7 +407,7 @@ def parse_registry(
             diagnostics.append(Diagnostic(line, str(damage), code=damage.code))
             continue
         if discipline.code in seen:
-            _fail(rows, f"line {line}: duplicate registry entry {discipline.code}")
+            _fail(source, rows, f"line {line}: duplicate registry entry {discipline.code}")
         seen.add(discipline.code)
         entries.append(entry)
     return entries, diagnostics
@@ -464,7 +464,7 @@ def parse_applications(
             continue
         discipline, role, kind = groups[gid]
         if kind is None:
-            _fail(rows, f"line {line}: discipline {discipline.code} is not in the registry")
+            _fail(source, rows, f"line {line}: discipline {discipline.code} is not in the registry")
         if not (0 <= v1 < math.inf and 0 <= v2 < math.inf and 0 <= v3 < math.inf):
             try:
                 IndicatorVector(v1, v2, v3, kind)
@@ -474,7 +474,7 @@ def parse_applications(
         identity = applicant_id(last, first)
         if (gid, identity) in seen:
             _fail(
-                rows,
+                source, rows,
                 f"line {line}: duplicate application for {identity} "
                 f"in {discipline.code} role {role.value}",
             )
@@ -514,7 +514,7 @@ def parse_medians(
         key = (discipline.code, discipline.sub_discipline, role)
         if key in seen:
             _fail(
-                rows,
+                source, rows,
                 f"line {line}: duplicate median set for {discipline.code} "
                 f"sub={discipline.sub_discipline or '-'} role {role.value}",
             )

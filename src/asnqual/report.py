@@ -412,10 +412,6 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     members = np.argsort(coarse, kind="stable")
     sizes = np.bincount(coarse, minlength=len(keys))
     starts = np.cumsum(sizes) - sizes
-    na_by_code: dict[str, int] = {}
-    for (code, _), size in zip(keys, sizes.tolist()):
-        na_by_code[code] = na_by_code.get(code, 0) + size
-    bins = _na_histogram(list(na_by_code.values()), hist_bin_width)
 
     top_level = {(s.discipline.code, s.role): s for s in index.top_level()}
     role_rows: list[DisciplineRoleRow] = []
@@ -478,8 +474,10 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         for area, (n_full, n_assoc, k_full, k_assoc) in sorted(by_area.items())
     ]
 
+    na_values = [r.applications for r in pooled_rows]
+    bins = _na_histogram(na_values, hist_bin_width)
     summaries = [
-        _summary_row("NA", [r.applications for r in pooled_rows]),
+        _summary_row("NA", na_values),
         _summary_row("PQ", [r.pq for r in pooled_rows]),
         _summary_row("PQO", [r.pqo for r in pooled_rows]),
         _summary_row("PQU", [r.pqu for r in pooled_rows]),

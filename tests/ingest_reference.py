@@ -34,9 +34,13 @@ def _open_text(source):
         yield source
 
 
+def _name(source):
+    return source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+
+
 def _undecodable(source, exc):
     if not isinstance(source, (str, Path)):
-        return f"{getattr(source, 'name', 'input')}: not UTF-8 text ({exc.reason})"
+        return f"{_name(source)}: not UTF-8 text ({exc.reason})"
     with open(source, "rb") as raw:
         for number, line in enumerate(raw, start=1):
             try:
@@ -54,10 +58,10 @@ def _read_rows(source, required):
         try:
             reader = csv.DictReader(handle, restval="")
             if reader.fieldnames is None:
-                raise ValueError("input is empty, expected a header row")
+                raise ValueError(f"{_name(source)}: input is empty, expected a header row")
             missing = [c for c in required if c not in reader.fieldnames]
             if missing:
-                raise ValueError(f"missing columns: {', '.join(missing)}")
+                raise ValueError(f"{_name(source)}: missing columns: {', '.join(missing)}")
             rows, lines = [], []
             for row in reader:
                 rows.append(row)
@@ -128,7 +132,7 @@ def reference_parse_applications(source, registry):
         kind = kinds.get(discipline.code)
         if kind is None:
             raise ValueError(
-                f"line {line}: discipline {discipline.code} is not in the registry"
+                f"{_name(source)}: line {line}: discipline {discipline.code} is not in the registry"
             )
         try:
             vector = IndicatorVector(ind[0], ind[1], ind[2], kind)
@@ -139,7 +143,7 @@ def reference_parse_applications(source, registry):
         key = (discipline.code, discipline.sub_discipline, role, last, first)
         if key in seen:
             raise ValueError(
-                f"line {line}: duplicate application for {identity} "
+                f"{_name(source)}: line {line}: duplicate application for {identity} "
                 f"in {discipline.code} role {role.value}"
             )
         seen.add(key)

@@ -232,8 +232,15 @@ class TestPvr:
         assert pareto_violation_ratio(population(rows)).ratio == 0.0
 
 
+def random_population(n, seed=5):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 6, (n, 3))
+    qualified = rng.random(n) < 0.5
+    return population([(tuple(v), bool(q)) for v, q in zip(values, qualified)])
+
+
 class TestBlockKernel:
-    """The row-blocked counts against the whole-matrix reference."""
+    """The blocked counts and listings against the whole-matrix reference."""
 
     @given(tied_groups(), st.integers(1, 64))
     def test_matches_whole_matrix_reference(self, rows, block_cells):
@@ -274,11 +281,8 @@ class TestBlockKernel:
         # (108 MB at n = 6,000); the kernel holds a few block-sized matrices
         # besides the n x 3 indicator matrix, which is built from one tuple
         # per row (about 110 bytes a row).
-        rng = np.random.default_rng(5)
         n = 6000
-        values = rng.integers(0, 6, (n, 3))
-        qualified = rng.random(n) < 0.5
-        apps = population([(tuple(v), bool(q)) for v, q in zip(values, qualified)])
+        apps = random_population(n)
         tracemalloc.start()
         try:
             result = pareto_violation_ratio(apps)
@@ -288,9 +292,32 @@ class TestBlockKernel:
         assert result.dominating_pairs > 0
         assert peak < 6 * dominance._BLOCK_CELLS + 160 * n
 
+    def test_a_limited_listing_stops_at_the_block_that_fills_it(self):
+        # The first block of column words, one word at n = 6,000, holds more
+        # than ten pairs; its unpacked bits take about _BLOCK_CELLS bytes.
+        n = 6000
+        apps = random_population(n)
+        ge_sets, firsts = dominance._ge_sets, []
+
+        def counted(*args):
+            for block in ge_sets(*args):
+                firsts.append(block[0])
+                yield block
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(dominance, "_ge_sets", counted):
+                listed = violating_pairs(apps, limit=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(listed) == 10
+        assert firsts == [0]
+        assert peak < 6 * dominance._BLOCK_CELLS + 160 * n
+
 
 class TestBitsetKernel:
-    """The bitset pair counts against the whole-matrix reference and the blocked kernel."""
+    """The bitset pair counts and listings against the whole-matrix reference."""
 
     @pytest.mark.parametrize("popcount", POPCOUNTS, ids=lambda f: f.__name__)
     @given(bitset_groups())
@@ -307,6 +334,17 @@ class TestBitsetKernel:
         assert result.ratio == ratio
         assert result.no_comparable_pairs == none_comparable
 
+    @pytest.mark.parametrize("block_cells", [1, dominance._BLOCK_CELLS])
+    @given(bitset_groups())
+    def test_listings_over_several_words_match_the_reference(self, block_cells, group):
+        values, qualified = group
+        apps = population([(tuple(v), bool(q)) for v, q in zip(values.tolist(), qualified)])
+        every = [(apps[i], apps[j]) for i, j in pvr_reference(apps)[4]]
+        # _BLOCK_CELLS = 1 lists one 64-bit word of dominators p at a time.
+        with mock.patch.object(dominance, "_BLOCK_CELLS", block_cells):
+            for limit in (0, 1, 7, None):
+                assert violating_pairs(apps, limit=limit) == every[:limit]
+
     def test_popcounts_count_every_bit(self):
         rng = np.random.default_rng(2)
         words = np.concatenate([
@@ -317,20 +355,19 @@ class TestBitsetKernel:
         for popcount in POPCOUNTS:
             assert popcount(words) == expected
 
-    def test_large_tied_group_matches_the_blocked_count(self):
-        # The non-bibliometric components of the big-groups benchmark round.
+    def test_large_tied_group_matches_the_whole_matrix_reference(self):
+        # The non-bibliometric components of the big-groups benchmark round:
+        # 25 words, so the counts and the listing span several blocks.
         rng = np.random.default_rng(11)
         n = 1600
         values = np.column_stack([rng.poisson(3, n), rng.poisson(6, n), np.zeros(n)]).astype(float)
         qualified = rng.random(n) < 0.3
-        dominating = violating = 0
-        for lo, dom in dominance._dominance_blocks(values):
-            dominating += int(np.count_nonzero(dom))
-            denied = ~qualified[lo:lo + len(dom)]
-            violating += int(np.count_nonzero(dom[denied][:, qualified]))
+        apps = population([(tuple(v), bool(q)) for v, q in zip(values.tolist(), qualified)])
+        _, dominating, violating, _, pairs = pvr_reference(apps)
         result = pareto_violation_ratio(values, qualified)
         assert (result.dominating_pairs, result.violations) == (dominating, violating)
         assert dominating > 0 and violating > 0
+        assert violating_pairs(apps) == [(apps[i], apps[j]) for i, j in pairs]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_indicators_are_an_error(self, bad):

@@ -769,6 +769,26 @@ class TestCli:
         assert f"{apps}: line 10: not UTF-8 text" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["applications", "medians", "registry"])
+    def test_a_hard_load_error_names_the_file(self, golden_dir, tmp_path, capsys, name):
+        lines = (golden_dir / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+        damages = {
+            "missing columns: ": ["x" + lines[0], *lines[1:]],
+            "input is empty, expected a header row": [],
+            f"line {len(lines) + 1}: duplicate ": [*lines, lines[1]],
+        }
+        paths = {n: golden_dir / f"{n}.csv" for n in ("applications", "medians", "registry")}
+        paths[name] = tmp_path / f"{name}.csv"
+        args = [f"--{n}={path}" for n, path in paths.items()]
+        for message, damaged in damages.items():
+            paths[name].write_text("".join(line + "\n" for line in damaged), encoding="utf-8")
+            for command in (["validate"], ["analyze", f"--out={tmp_path / 'report'}"]):
+                assert main([*command, *args]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {paths[name]}: {message}"), err
+                assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
     def test_synth_accepts_a_config_file(self, tmp_path, capsys):
         config = SynthConfig(
             (
