@@ -26,24 +26,7 @@ import numpy as np
 
 from .dominance import ApplicationRecord
 from .indicators import IndicatorKind, IndicatorVector
-from .thresholds import AREA_CODES, DisciplineId, MedianIndex, MedianSet, Role
-
-AREA_ACRONYMS = {
-    "01": "MCS",
-    "02": "PHY",
-    "03": "CHE",
-    "04": "EAS",
-    "05": "BIO",
-    "06": "MED",
-    "07": "AVM",
-    "08": "CEA",
-    "09": "IIE",
-    "10": "APL",
-    "11": "HPP",
-    "12": "LAW",
-    "13": "ECS",
-    "14": "PSS",
-}
+from .thresholds import AREA_ACRONYMS, DisciplineId, MedianIndex, MedianSet, Role
 
 # Areas 01-09 are bibliometric except five engineering/architecture codes;
 # areas 10-14 are non-bibliometric except the psychology macro-sector 11/E.
@@ -66,7 +49,7 @@ REGISTRY_COLUMNS = ("discipline", "area_acronym", "kind")
 
 _KIND_CODES = {"B": IndicatorKind.BIBLIOMETRIC, "NB": IndicatorKind.NON_BIBLIOMETRIC}
 _KIND_TO_CODE = {v: k for k, v in _KIND_CODES.items()}
-_ROLE_CODES = {"1": Role.FULL, "2": Role.ASSOCIATE}
+_ROLE_CODES = {str(r.value): r for r in Role}
 _FLAGS = {"true": True, "false": False}
 
 _T = TypeVar("_T")
@@ -75,7 +58,7 @@ _T = TypeVar("_T")
 def discipline_kind(code: str) -> IndicatorKind:
     """Indicator kind of a discipline code under the area partition rules."""
     area = code[:2]
-    if area not in AREA_CODES:
+    if area not in AREA_ACRONYMS:
         raise ValueError(f"unknown area code {area!r}")
     if int(area) <= 9:
         if code in NON_BIBLIOMETRIC_EXCEPTIONS:

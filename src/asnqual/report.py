@@ -383,8 +383,10 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     exceeds, over = _classify_all(ind, group, medians, required)
 
     labels = [(d.code, d.sub_discipline or "", role, kinds[d.code]) for d, role, _ in table.groups]
-    role_codes = np.array([_ROLES.index(role) for _, _, role, _ in labels], dtype=np.int8)
-    kind_codes = np.array([_KINDS.index(kind) for _, _, _, kind in labels], dtype=np.int8)
+    # One role x kind code per group, its _ROLE_KINDS index: role is code >> 1, kind code & 1.
+    role_kind = np.array(
+        [_ROLE_KINDS.index((role, kind)) for _, _, role, kind in labels], dtype=np.int8
+    )
     # Rows in (discipline code, sub-discipline, role, applicant id) order, by
     # two stable sorts: equal keys keep their dataset order.
     group_keys = [(code, sub, role.value) for code, sub, role, _ in labels]
@@ -395,11 +397,12 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     order = by_id[np.argsort(rank[group[by_id]], kind="stable")]
     sorted_ind = ind[order]
     sorted_group = group[order]
+    sorted_role_kind = role_kind[sorted_group]
     classified = ClassifiedTable((
         np.array(ids, dtype=object)[order],
         *np.array(labels, dtype=object).reshape(-1, 4)[sorted_group, :2].T,
-        EnumColumn(role_codes[sorted_group], _ROLES),
-        EnumColumn(kind_codes[sorted_group], _KINDS),
+        EnumColumn(sorted_role_kind >> 1, _ROLES),
+        EnumColumn(sorted_role_kind & 1, _KINDS),
         *sorted_ind.T, exceeds[order],
         EnumColumn((~over[order]).view(np.int8), _STANDINGS), qualified[order],
     ))
@@ -486,10 +489,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     ]
 
     # Applications and qualified per role x kind x standing, over-median first.
-    role_kind = np.array(
-        [_ROLE_KINDS.index((role, kind)) for _, _, role, kind in labels], dtype=np.intp
-    )[group]
-    cells = 2 * role_kind + ~over
+    cells = 2 * role_kind[group] + ~over
     n_cells = np.bincount(cells, minlength=8).tolist()
     k_cells = np.bincount(cells[qualified], minlength=8).tolist()
     group_rates = [
@@ -519,7 +519,6 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         for i in (1, 2, 3):
             correlations.append(_fa_correlation(f"M{i}", f"m{i}", kind.value, kind_pairs))
     suffix = {Role.FULL: "F", Role.ASSOCIATE: "A"}
-    sorted_role_kind = role_kind[order]
     for rk, (role, kind) in enumerate(_ROLE_KINDS):
         vectors = sorted_ind[sorted_role_kind == rk]
         for i, j in ((0, 1), (0, 2), (1, 2)):

@@ -20,9 +20,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .ingest import (
     DisciplineRegistryEntry,
     RoundDataset,
     load_default_registry,
+    output_file,
 )
 from .thresholds import DisciplineId, MedianSet, Role, compute_median, required_exceedances
 
@@ -41,12 +43,25 @@ from .thresholds import DisciplineId, MedianSet, Role, compute_median, required_
 MAX_APPLICATIONS = 1_000_000
 MAX_PROFESSORS = 100_000
 
+# A distribution family: its parameter count, the check its parameters must
+# pass with the message when they do not, and its draw of n values.
+_Family = namedtuple("_Family", "arity valid message draw")
 _FAMILIES = {
-    "lognormal": 2,  # (mean, sigma) of the underlying normal, sigma > 0
-    "gamma": 2,      # (shape, scale), both > 0
-    "uniform": 2,    # (low, high), 0 <= low < high
-    "poisson": 1,    # (lam,), lam >= 0
-    "constant": 1,   # (value,), value >= 0
+    # (mean, sigma) of the underlying normal, sigma > 0
+    "lognormal": _Family(2, lambda p: p[1] > 0, "lognormal sigma must be positive",
+                         lambda rng, p, n: rng.lognormal(p[0], p[1], n)),
+    # (shape, scale), both > 0
+    "gamma": _Family(2, lambda p: p[0] > 0 and p[1] > 0, "gamma shape and scale must be positive",
+                     lambda rng, p, n: rng.gamma(p[0], p[1], n)),
+    # (low, high), 0 <= low < high
+    "uniform": _Family(2, lambda p: 0 <= p[0] < p[1], "uniform needs 0 <= low < high",
+                       lambda rng, p, n: rng.uniform(p[0], p[1], n)),
+    # (lam,), lam >= 0
+    "poisson": _Family(1, lambda p: p[0] >= 0, "poisson rate must be nonnegative",
+                       lambda rng, p, n: rng.poisson(p[0], n).astype(float)),
+    # (value,), value >= 0
+    "constant": _Family(1, lambda p: p[0] >= 0, "constant value must be nonnegative",
+                        lambda rng, p, n: np.full(n, p[0])),
 }
 
 
@@ -61,34 +76,16 @@ class ComponentModel:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if not all(math.isfinite(p) for p in self.params):
             raise ValueError(f"{self.family} parameters must be finite, got {self.params}")
-        arity = _FAMILIES.get(self.family)
-        if arity is None:
+        spec = _FAMILIES.get(self.family)
+        if spec is None:
             raise ValueError(f"unknown distribution family {self.family!r}")
-        if len(self.params) != arity:
-            raise ValueError(f"{self.family} takes {arity} parameters, got {len(self.params)}")
-        p = self.params
-        if self.family == "lognormal" and p[1] <= 0:
-            raise ValueError("lognormal sigma must be positive")
-        if self.family == "gamma" and (p[0] <= 0 or p[1] <= 0):
-            raise ValueError("gamma shape and scale must be positive")
-        if self.family == "uniform" and not (0 <= p[0] < p[1]):
-            raise ValueError("uniform needs 0 <= low < high")
-        if self.family == "poisson" and p[0] < 0:
-            raise ValueError("poisson rate must be nonnegative")
-        if self.family == "constant" and p[0] < 0:
-            raise ValueError("constant value must be nonnegative")
+        if len(self.params) != spec.arity:
+            raise ValueError(f"{self.family} takes {spec.arity} parameters, got {len(self.params)}")
+        if not spec.valid(self.params):
+            raise ValueError(spec.message)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        p = self.params
-        if self.family == "lognormal":
-            return rng.lognormal(p[0], p[1], n)
-        if self.family == "gamma":
-            return rng.gamma(p[0], p[1], n)
-        if self.family == "uniform":
-            return rng.uniform(p[0], p[1], n)
-        if self.family == "poisson":
-            return rng.poisson(p[0], n).astype(float)
-        return np.full(n, p[0])
+        return _FAMILIES[self.family].draw(rng, self.params, n)
 
 
 class DecisionModel(enum.Enum):
@@ -141,61 +138,31 @@ class SynthConfig:
             raise ValueError(f"{total} applications in all, more than {MAX_APPLICATIONS}")
 
     def to_json(self) -> str:
-        payload = {
-            "plans": [
-                {
-                    "discipline": p.discipline,
-                    "n_full": p.n_full,
-                    "n_associate": p.n_associate,
-                    "components": [
-                        {"family": c.family, "params": list(c.params)} for c in p.components
-                    ],
-                    "decision": p.decision.value,
-                    "professors": p.professors,
-                    "flip_probability": p.flip_probability,
-                    "relaxed_quantile": p.relaxed_quantile,
-                }
-                for p in self.plans
-            ]
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        plans = [{**asdict(p), "decision": p.decision.value} for p in self.plans]
+        return json.dumps({"plans": plans}, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> SynthConfig:
+        plans = []
         try:
-            return cls._from_payload(json.loads(text))
+            for raw in json.loads(text)["plans"]:
+                unknown = sorted(raw.keys() - _PLAN_READERS.keys())
+                if unknown:
+                    raise ValueError(f"unknown plan key(s) {', '.join(map(repr, unknown))}")
+                # a key left out takes the field's default
+                plans.append(DisciplinePlan(**{k: _PLAN_READERS[k](v, k) for k, v in raw.items()}))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed synth config: {exc}") from exc
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> SynthConfig:
-        plans = []
-        for raw in payload["plans"]:
-            components = tuple(
-                ComponentModel(c["family"], tuple(c["params"])) for c in raw["components"]
-            )
-            plans.append(
-                DisciplinePlan(
-                    discipline=raw["discipline"],
-                    n_full=_count(raw["n_full"], "n_full"),
-                    n_associate=_count(raw["n_associate"], "n_associate"),
-                    components=components,
-                    decision=DecisionModel(raw.get("decision", "strict-median")),
-                    professors=_count(raw.get("professors", 101), "professors"),
-                    flip_probability=float(raw.get("flip_probability", 0.0)),
-                    relaxed_quantile=float(raw.get("relaxed_quantile", 0.5)),
-                )
-            )
         return cls(tuple(plans))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        with output_file(path) as handle:
+            handle.write(self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> SynthConfig:
-        text = Path(path).read_text(encoding="utf-8")
         try:
-            return cls.from_json(text)
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -207,6 +174,18 @@ def _count(value: object, name: str) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+# The reader of each DisciplinePlan field's config value, by the field's type.
+_TYPE_READERS: dict[str, Callable[[Any, str], Any]] = {
+    "str": lambda value, name: value,
+    "int": _count,
+    "float": lambda value, name: float(value),
+    "DecisionModel": lambda value, name: DecisionModel(value),
+    "tuple[ComponentModel, ComponentModel, ComponentModel]":
+        lambda value, name: tuple(ComponentModel(**c) for c in value),
+}
+_PLAN_READERS = {f.name: _TYPE_READERS[f.type] for f in fields(DisciplinePlan)}
 
 
 def default_synth_config() -> SynthConfig:

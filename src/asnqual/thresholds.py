@@ -10,6 +10,7 @@ does not count as exceeding it.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 import statistics
 from dataclasses import dataclass
@@ -18,7 +19,23 @@ from typing import Iterable, Iterator
 from .dominance import dominates
 from .indicators import IndicatorKind, IndicatorVector, store_finite_nonnegative
 
-AREA_CODES = tuple(f"{i:02d}" for i in range(1, 15))
+AREA_ACRONYMS = {
+    "01": "MCS",
+    "02": "PHY",
+    "03": "CHE",
+    "04": "EAS",
+    "05": "BIO",
+    "06": "MED",
+    "07": "AVM",
+    "08": "CEA",
+    "09": "IIE",
+    "10": "APL",
+    "11": "HPP",
+    "12": "LAW",
+    "13": "ECS",
+    "14": "PSS",
+}
+AREA_CODES = tuple(AREA_ACRONYMS)
 
 _CODE_RE = re.compile(r"^(\d{2})/([A-Z])(\d)$")
 
@@ -165,7 +182,8 @@ def zero_median_census(sets: Iterable[MedianSet]) -> ZeroMedianCensus:
 
     Expects one set per (discipline, role); duplicates are rejected.
     """
-    counts = {(Role.FULL, 1): 0, (Role.FULL, 2): 0, (Role.ASSOCIATE, 1): 0, (Role.ASSOCIATE, 2): 0}
+    # keyed in the order of the census fields: full, then associate; one zero, then two
+    counts = dict.fromkeys(itertools.product(Role, (1, 2)), 0)
     seen: set[tuple[str, Role]] = set()
     for s in sets:
         key = (s.discipline.code, s.role)
@@ -175,12 +193,7 @@ def zero_median_census(sets: Iterable[MedianSet]) -> ZeroMedianCensus:
         zeros = s.zero_components()
         if (s.role, zeros) in counts:
             counts[(s.role, zeros)] += 1
-    return ZeroMedianCensus(
-        counts[(Role.FULL, 1)],
-        counts[(Role.FULL, 2)],
-        counts[(Role.ASSOCIATE, 1)],
-        counts[(Role.ASSOCIATE, 2)],
-    )
+    return ZeroMedianCensus(*counts.values())
 
 
 def tag_median_pair(full: MedianSet, assoc: MedianSet) -> MedianTag:
