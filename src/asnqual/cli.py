@@ -21,11 +21,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantitative analytics for national scientific qualification rounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    round_inputs = argparse.ArgumentParser(add_help=False)
+    round_inputs.add_argument("--applications", required=True, help="applications CSV path")
+    round_inputs.add_argument("--medians", required=True, help="medians CSV path")
+    round_inputs.add_argument("--registry", default=None, help="registry CSV path (default: bundled)")
 
-    analyze = sub.add_parser("analyze", help="run the full analysis over a round")
-    analyze.add_argument("--applications", required=True, help="applications CSV path")
-    analyze.add_argument("--medians", required=True, help="medians CSV path")
-    analyze.add_argument("--registry", default=None, help="registry CSV path (default: bundled)")
+    analyze = sub.add_parser(
+        "analyze", parents=[round_inputs], help="run the full analysis over a round"
+    )
     analyze.add_argument("--out", required=True, help="output directory")
     analyze.add_argument("--format", choices=("csv", "json"), default="csv")
     analyze.add_argument(
@@ -42,10 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, help="output directory")
     synth.set_defaults(func=_cmd_synth)
 
-    validate = sub.add_parser("validate", help="check round inputs and report diagnostics")
-    validate.add_argument("--applications", required=True, help="applications CSV path")
-    validate.add_argument("--medians", required=True, help="medians CSV path")
-    validate.add_argument("--registry", default=None, help="registry CSV path (default: bundled)")
+    validate = sub.add_parser(
+        "validate", parents=[round_inputs], help="check round inputs and report diagnostics"
+    )
     validate.set_defaults(func=_cmd_validate)
 
     return parser

@@ -187,8 +187,6 @@ def compute_bibliometric(
     B2: total citations of windowed publications, divided by SA.
     B3: normalized h-index of windowed publications at the evaluation year.
     """
-    if not record.publications:
-        raise ValueError("record has no publications")
     counted = record.in_window(window)
     sa = scientific_age(record, evaluation_year)
     papers = sum(1 for p in counted if p.kind in JOURNAL_PAPER_KINDS)
@@ -208,8 +206,6 @@ def compute_non_bibliometric(
     N1: books, N2: journal papers plus book chapters, N3: top-journal
     papers; all restricted to the window and scaled by 10/SA.
     """
-    if not record.publications:
-        raise ValueError("record has no publications")
     counted = record.in_window(window)
     factor = _age_factor(record, evaluation_year)
     books = sum(1 for p in counted if p.kind is PublicationKind.BOOK)

@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
@@ -36,6 +36,7 @@ from .stats import (
     spearman_rho,
 )
 from .thresholds import (
+    CENSUS_CELLS,
     MedianTag,
     Role,
     Standing,
@@ -525,13 +526,11 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
             x, y = (f"ind{c + 1}.{suffix[role]}" for c in (i, j))
             result = _safe_spearman(vectors[:, i], vectors[:, j])
             correlations.append(CorrelationRow(x, y, kind.value, result))
-    for label in ("PQO", "PQU"):
+    for label in ("PQO", "PQU", "PVR"):
         for kind in IndicatorKind:
             correlations.append(
                 _fa_correlation(label, label.lower(), kind.value, pairs_of[kind])
             )
-    for kind in IndicatorKind:
-        correlations.append(_fa_correlation("PVR", "pvr", kind.value, pairs_of[kind]))
     correlations.append(_fa_correlation("PVR", "pvr", "all", pairs))
 
     tag_rows: list[MedianTagRow] = []
@@ -582,22 +581,6 @@ def _each(rule: Callable[[object], str]) -> Callable[[Sequence], list[str]]:
     return lambda values: list(map(rule, values))
 
 
-_ENUMS = (Role, IndicatorKind, Standing, MedianTag)
-# A report float in CSV: NaN as NaN, integral values below 1e16 as integers.
-_csv_floats = functools.partial(number_cells, nan="NaN", below=1e16)
-
-
-def _csv_rule(kind: type) -> Callable[[Sequence], list[str]]:
-    """How a CSV column writes its values of this type."""
-    if issubclass(kind, bool):
-        return _each({True: "true", False: "false"}.__getitem__)
-    if issubclass(kind, float):
-        return _csv_floats
-    if issubclass(kind, _ENUMS):
-        return _each(_LABELS.__getitem__)
-    return _each(str)
-
-
 _JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_LABELS = {member: encode_basestring_ascii(label) for member, label in _LABELS.items()}
 
@@ -610,47 +593,53 @@ def _json_floats(values: Sequence[float]) -> list[str]:
     return tokens
 
 
-def _json_rule(kind: type) -> Callable[[Sequence], list[str]]:
-    """The JSON tokens of values of this type, as json.dumps writes them; NaN becomes null."""
-    if issubclass(kind, bool):
-        return _each({True: "true", False: "false"}.__getitem__)
-    if issubclass(kind, int):
-        return _each(int.__repr__)
-    if issubclass(kind, float):
-        return _json_floats
-    if issubclass(kind, _ENUMS):
-        return _each(_JSON_LABELS.__getitem__)
-    if issubclass(kind, str):
-        return _each(encode_basestring_ascii)
-    if kind is type(None):
-        return lambda values: ["null"] * len(values)
-    raise TypeError(f"report.json cannot hold a value of type {kind.__name__}")
+# The (CSV, JSON) column rule of each value type.  JSON writes a value as json.dumps
+# does, NaN as null; CSV writes NaN as NaN and an integral float below 1e16 as an integer.
+_RULES: dict[type, tuple[Callable[[Sequence], list[str]], Callable[[Sequence], list[str]]]] = {
+    bool: (_each({True: "true", False: "false"}.__getitem__),) * 2,
+    int: (_each(str), _each(int.__repr__)),
+    float: (functools.partial(number_cells, nan="NaN", below=1e16), _json_floats),
+    **{enum: (_each(_LABELS.__getitem__), _each(_JSON_LABELS.__getitem__))
+       for enum in (Role, IndicatorKind, Standing, MedianTag)},
+    str: (_each(str), _each(encode_basestring_ascii)),
+    type(None): (_each(str), lambda values: ["null"] * len(values)),
+}
+_CSV, _JSON = 0, 1
 
 
-def _format_column(column: Sequence | EnumColumn, rule_for: Callable[[type], Callable]) -> list:
-    """A column's text, each value through the column rule for its type.
+def _rule(kind: type, format: int) -> Callable[[Sequence], list[str]]:
+    """The column rule of the nearest type in ``kind``'s MRO that has one: bool before int.
 
-    An EnumColumn formats its members once.  Arrays go through tolist():
-    numpy 2 writes repr(np.float64(x)) as "np.float64(x)".
+    A type without one is written by str in CSV and cannot go in report.json.
+    """
+    for base in kind.__mro__:
+        if base in _RULES:
+            return _RULES[base][format]
+    if format == _JSON:
+        raise TypeError(f"report.json cannot hold a value of type {kind.__name__}")
+    return _each(str)
+
+
+def _format_column(column: Sequence | EnumColumn, format: int) -> list:
+    """A column's text, each value through the rule of its type.
+
+    An EnumColumn formats its members once, a column of one type goes through
+    its rule in bulk, and a mixed column value by value.  Arrays go through
+    tolist(): numpy 2 writes repr(np.float64(x)) as "np.float64(x)".
     """
     if isinstance(column, EnumColumn):
-        return column.labels(rule_for(type(column.members[0]))(column.members))
+        return column.labels(_rule(type(column.members[0]), format)(column.members))
     values = column.tolist() if isinstance(column, np.ndarray) else column
     kinds = set(map(type, values))
     if len(kinds) == 1:
-        return rule_for(kinds.pop())(values)
-    cells = [""] * len(values)
-    for kind in kinds:
-        at = [i for i, value in enumerate(values) if type(value) is kind]
-        for i, text in zip(at, rule_for(kind)([values[i] for i in at])):
-            cells[i] = text
-    return cells
+        return _rule(kinds.pop(), format)(values)
+    return [_rule(type(value), format)([value])[0] for value in values]
 
 
-_csv_column = functools.partial(_format_column, rule_for=_csv_rule)
+_csv_column = functools.partial(_format_column, format=_CSV)
 
 
-_json_column = functools.partial(_format_column, rule_for=_json_rule)
+_json_column = functools.partial(_format_column, format=_JSON)
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
@@ -723,10 +712,8 @@ def _tables(report: RoundReport) -> dict[str, tuple[list[str], list[Sequence]]]:
     tables["classified_applications"] = (
         [f.name for f in fields(ClassifiedApplication)], report.classified.columns
     )
-    tables["totals"] = _row_table(
-        ["n_applications", "n_qualified", "n_disciplines", "distinct_names"],
-        [[report.n_applications, report.n_qualified, report.n_disciplines, report.distinct_names]],
-    )
+    totals = ["n_applications", "n_qualified", "n_disciplines", "distinct_names"]
+    tables["totals"] = _row_table(totals, [operator.attrgetter(*totals)(report)])
     tables["summaries"] = _row_table(
         ["variable", "n", "min", "q1", "median", "q3", "max"],
         [[s.variable, s.n, *s.summary.as_tuple()] for s in report.summaries],
@@ -739,11 +726,9 @@ def _tables(report: RoundReport) -> dict[str, tuple[list[str], list[Sequence]]]:
             for c in report.correlations
         ],
     )
-    census = report.median_census
     tables["median_census"] = _row_table(
         ["role", "zero_components", "disciplines"],
-        [["full", 1, census.full_one_zero], ["full", 2, census.full_two_zero],
-         ["associate", 1, census.associate_one_zero], ["associate", 2, census.associate_two_zero]],
+        [[role, zeros, n] for (role, zeros), n in zip(CENSUS_CELLS, astuple(report.median_census))],
     )
     tables["median_component_violations"] = (
         ["component", "full_below_associate"], [(1, 2, 3), report.component_violations]

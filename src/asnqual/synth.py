@@ -167,23 +167,35 @@ class SynthConfig:
             raise ValueError(f"{path}: {exc}") from exc
 
 
+def _number(value: object, name: str) -> int | float:
+    """A JSON number from a config; true and "2" are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _count(value: object, name: str) -> int:
     """A whole-number count from a config; 2.0 passes, 2.5, true and "2" do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_number(value, name), float) and not value.is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _component(raw: dict, name: str) -> ComponentModel:
+    """A component model from a config; its params must be a JSON array of numbers."""
+    if not isinstance(raw["params"], list):
+        raise ValueError(f"{name} params must be a JSON array, got {raw['params']!r}")
+    return ComponentModel(**{**raw, "params": [_number(p, f"{name} params") for p in raw["params"]]})
 
 
 # The reader of each DisciplinePlan field's config value, by the field's type.
 _TYPE_READERS: dict[str, Callable[[Any, str], Any]] = {
     "str": lambda value, name: value,
     "int": _count,
-    "float": lambda value, name: float(value),
+    "float": lambda value, name: float(_number(value, name)),
     "DecisionModel": lambda value, name: DecisionModel(value),
     "tuple[ComponentModel, ComponentModel, ComponentModel]":
-        lambda value, name: tuple(ComponentModel(**c) for c in value),
+        lambda value, name: tuple(_component(c, name) for c in value),
 }
 _PLAN_READERS = {f.name: _TYPE_READERS[f.type] for f in fields(DisciplinePlan)}
 

@@ -68,6 +68,8 @@ class DisciplineId:
             raise ValueError(f"macro sector must be a single capital letter, got {self.macro_sector!r}")
         if len(self.digit) != 1 or not self.digit.isdigit():
             raise ValueError(f"discipline digit must be a single digit, got {self.digit!r}")
+        if self.sub_discipline and ("\n" in self.sub_discipline or "\r" in self.sub_discipline):
+            raise ValueError(f"line break in sub-discipline {self.sub_discipline!r}")
 
     @classmethod
     def parse(cls, code: str, sub_discipline: str | None = None) -> DisciplineId:
@@ -169,6 +171,10 @@ def classify(v: IndicatorVector, m: MedianSet) -> Standing:
     return Standing.UNDER_MEDIAN
 
 
+# The (role, zero components) of each ZeroMedianCensus field, in field order.
+CENSUS_CELLS = tuple(itertools.product(Role, (1, 2)))
+
+
 @dataclass(frozen=True)
 class ZeroMedianCensus:
     full_one_zero: int
@@ -182,8 +188,7 @@ def zero_median_census(sets: Iterable[MedianSet]) -> ZeroMedianCensus:
 
     Expects one set per (discipline, role); duplicates are rejected.
     """
-    # keyed in the order of the census fields: full, then associate; one zero, then two
-    counts = dict.fromkeys(itertools.product(Role, (1, 2)), 0)
+    counts = dict.fromkeys(CENSUS_CELLS, 0)
     seen: set[tuple[str, Role]] = set()
     for s in sets:
         key = (s.discipline.code, s.role)

@@ -4,7 +4,7 @@ Whatever the applications and medians CSVs hold, `asnqual validate` and
 `asnqual analyze` return 0, 1 or 2, raise nothing and finish quickly.  The
 inputs are a small valid round put through the damage real exports show:
 truncation, mixed line endings, reordered headers, huge or non-finite
-numbers, line breaks inside names and duplicate keys.  `asnqual synth`
+numbers, line breaks inside names or sub-disciplines and duplicate keys.  `asnqual synth`
 keeps the same contract under damaged configs: truncated JSON, wrong types,
 non-finite numbers and sizes past the caps.
 """
@@ -83,6 +83,9 @@ def damaged_csv(draw, table, huge=HUGE):
     if names and draw(st.booleans()):
         row = draw(st.sampled_from(rows))
         row[draw(st.sampled_from(names))] = "Ro" + draw(NEWLINES) + "ssi"
+    # line-break-in-sub-discipline: the same, in the sub-discipline of either file
+    if "sub_discipline" in header and draw(st.booleans()):
+        draw(st.sampled_from(rows))[header.index("sub_discipline")] = "x" + draw(NEWLINES) + "y"
     # reordered-header: permute the columns, or the header alone
     order = draw(st.permutations(range(len(header))))
     header = [header[c] for c in order]
@@ -167,6 +170,27 @@ def test_line_break_in_a_name_is_row_damage(tmp_path, capsys, name):
     assert main(["validate", *args]) == 1
     # the quoted row spans lines 13 and 14; the diagnostic names where it ends
     assert "line 14: error: line break in applicant name" in capsys.readouterr().out
+    assert main(["analyze", *args, "--out", str(tmp_path / "report")]) == 0
+    with open(tmp_path / "report" / "classified_applications.csv", newline="") as handle:
+        assert len(list(csv.reader(handle))) == len(APPLICATIONS)
+
+
+@pytest.mark.parametrize("newline", ["\r", "\n", "\r\n"])
+@pytest.mark.parametrize("name, row", [
+    ("applications.csv", 'Rossi,Maria,01/A1,"x{}y",1,1,1,1,true'),
+    ("medians.csv", '01/A1,"x{}y",1,B,1,1,1'),
+])
+def test_line_break_in_a_sub_discipline_is_row_damage(tmp_path, capsys, name, row, newline):
+    tables = {"applications.csv": APPLICATIONS, "medians.csv": MEDIANS}
+    for file_name, table in tables.items():
+        text = csv_text(table) + (row.format(newline) + "\n" if file_name == name else "")
+        (tmp_path / file_name).write_text(text, encoding="utf-8", newline="")
+    args = ["--applications", str(tmp_path / "applications.csv"),
+            "--medians", str(tmp_path / "medians.csv")]
+    assert main(["validate", *args]) == 1
+    # the quoted row starts on the line after the table and ends on the next
+    line = len(tables[name]) + 2
+    assert f"line {line}: error: line break in sub-discipline" in capsys.readouterr().out
     assert main(["analyze", *args, "--out", str(tmp_path / "report")]) == 0
     with open(tmp_path / "report" / "classified_applications.csv", newline="") as handle:
         assert len(list(csv.reader(handle))) == len(APPLICATIONS)

@@ -357,6 +357,23 @@ class TestParseMedians:
         assert "unknown kind" in diagnostics[0].message
 
 
+@pytest.mark.parametrize("newline", ["\r", "\n", "\r\n"])
+@pytest.mark.parametrize("parse, header, good, damaged", [
+    pytest.param(parse_applications, APPS_HEADER, "Rossi,Maria,01/A1,,1,1,1,1,true",
+                 'Verdi,Anna,01/A1,"x{}y",1,1,1,1,true', id="applications"),
+    pytest.param(parse_medians, MEDIANS_HEADER, "01/A1,,1,B,1,1,1", '01/A1,"x{}y",2,B,1,1,1',
+                 id="medians"),
+])
+def test_a_line_break_in_a_sub_discipline_skips_its_row(tmp_path, parse, header, good, damaged, newline):
+    # the quoted row spans lines 2 and 3; the row after it is line 4
+    path = tmp_path / "input.csv"
+    path.write_text(header + damaged.format(newline) + "\n" + good + "\n", newline="")
+    kept, diagnostics = parse(path)
+    assert len(kept) == 1
+    assert [(d.line, d.severity, d.code) for d in diagnostics] == [(3, "error", "discipline")]
+    assert diagnostics[0].message.startswith("line break in sub-discipline ")
+
+
 class TestRoundDataset:
     def build(self):
         apps, _ = parse_applications(apps_csv("Rossi,Maria,01/A1,,1,11,15,6,true"))

@@ -10,15 +10,18 @@ against json.dumps on generated tables of every value type.
 """
 
 import csv
+import enum
 import io
 import json
 import math
 import tempfile
 from dataclasses import astuple
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -144,6 +147,25 @@ def test_array_columns_format_as_their_python_values(typed):
     array = np.array(values, dtype=dtype)
     assert _csv_column(array) == [cell(v) for v in values]
     assert _json_column(array) == [json.dumps(jsonable(v)) for v in values]
+
+
+class Grade(enum.IntEnum):
+    """An enum without a rule of its own: its MRO reaches int."""
+
+    PASS = 1
+
+
+@pytest.mark.parametrize("values", [[Grade.PASS], [Grade.PASS, 2.5]])
+def test_a_type_takes_the_rule_of_its_nearest_base(values):
+    assert _csv_column(values) == [cell(v) for v in values]
+    assert _json_column(values) == [json.dumps(v) for v in values]
+
+
+@pytest.mark.parametrize("values", [[Fraction(1, 3)], [Fraction(1, 3), "a"]])
+def test_a_type_without_a_rule_is_str_in_csv_and_refused_in_json(values):
+    assert _csv_column(values) == list(map(str, values))
+    with pytest.raises(TypeError, match="^report.json cannot hold a value of type Fraction$"):
+        _json_column(values)
 
 
 # Text with non-ASCII and control characters, quotes and backslashes.

@@ -165,3 +165,33 @@ def test_synth_with_the_default_config_file_matches_synth_without_one(tmp_path):
     for name in names:
         written = (tmp_path / "from_file" / name).read_bytes()
         assert written == (tmp_path / "bundled" / name).read_bytes()
+
+
+def with_component(index, **changes):
+    components = list(REQUIRED["components"])
+    components[index] = {**components[index], **changes}
+    return {**REQUIRED, "components": components}
+
+
+@pytest.mark.parametrize("plan, key", [
+    # a string was taken one character at a time: lognormal(1.0, 2.0)
+    (with_component(0, family="lognormal", params="12"), "params"),
+    # text and true were taken by float(): gamma(2.0, 1.0)
+    (with_component(0, params=["2", True]), "params"),
+    ({**REQUIRED, "flip_probability": "0.1"}, "flip_probability"),
+    ({**REQUIRED, "flip_probability": True}, "flip_probability"),
+    ({**REQUIRED, "relaxed_quantile": "0.5"}, "relaxed_quantile"),
+])
+def test_a_config_number_given_as_text_or_a_bool_exits_1_naming_the_key(tmp_path, capsys, plan, key):
+    config = write_config(tmp_path, {"plans": [plan]})
+    out = tmp_path / "round"
+    assert main(["synth", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: "), err
+    assert key in err
+    assert not out.exists()
+
+
+def test_a_whole_float_field_given_as_an_integer_loads_as_a_float():
+    (plan,) = SynthConfig.from_json(json.dumps({"plans": [{**REQUIRED, "flip_probability": 0}]})).plans
+    assert plan.flip_probability == 0.0 and isinstance(plan.flip_probability, float)

@@ -1,4 +1,5 @@
 import statistics
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from asnqual.indicators import IndicatorKind, IndicatorVector
 from asnqual.thresholds import (
+    CENSUS_CELLS,
     DisciplineId,
     MedianIndex,
     MedianSet,
@@ -13,6 +15,7 @@ from asnqual.thresholds import (
     MissingMedianSetError,
     Role,
     Standing,
+    ZeroMedianCensus,
     classify,
     compute_median,
     exceeds_count,
@@ -46,6 +49,12 @@ class TestDisciplineId:
     def test_malformed_codes_rejected(self, bad):
         with pytest.raises(ValueError):
             DisciplineId.parse(bad)
+
+    @pytest.mark.parametrize("sub", ["x\ry", "x\ny", "x\r\ny", "\n"])
+    def test_a_line_break_in_a_sub_discipline_is_rejected(self, sub):
+        # a CSV writer leaves a bare \r unquoted, and the file would not read back
+        with pytest.raises(ValueError, match="^line break in sub-discipline "):
+            DisciplineId.parse("01/A1", sub)
 
 
 class TestComputeMedian:
@@ -179,6 +188,10 @@ class TestZeroMedianCensus:
     def test_duplicate_discipline_role_is_an_error(self):
         with pytest.raises(ValueError, match="duplicate"):
             zero_median_census([mset(1, 2, 3), mset(4, 5, 6)])
+
+    def test_census_cells_are_the_census_fields_in_order(self):
+        names = [f"{role.name.lower()}_{('one', 'two')[zeros - 1]}_zero" for role, zeros in CENSUS_CELLS]
+        assert names == [f.name for f in fields(ZeroMedianCensus)]
 
 
 class TestTagMedianPair:
