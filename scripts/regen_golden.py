@@ -1,9 +1,10 @@
 """Regenerate the frozen end-to-end fixtures under tests/golden/.
 
 The fixtures pin the byte-level output of the synthesizer and the report
-writer for one fixed configuration and seed.  Rerun this script only when
-an intentional change to serialization or analysis output is made, and
-review the diff before committing.
+writer for one fixed configuration and seed, as the asnqual command line
+writes them: synth, then analyze in CSV and in JSON.  Rerun this script
+only when an intentional change to serialization or analysis output is
+made, and review the diff before committing.
 
     python scripts/regen_golden.py           # rewrite tests/golden/
     python scripts/regen_golden.py --check   # compare only; exit 1 on a difference
@@ -15,6 +16,8 @@ tests/golden/, and names each file that differs, is missing or is extra.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import shutil
 import sys
 import tempfile
@@ -22,25 +25,29 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from asnqual.ingest import write_applications, write_medians, write_registry
-from asnqual.report import analyze_round, emit
-from asnqual.synth import default_synth_config, synthesize_round
+from asnqual.cli import main as asnqual
 
 GOLDEN_SEED = 7
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
 def regenerate(out: Path) -> int:
-    """Write the golden dataset and report files under `out`; returns the file count."""
-    dataset = synthesize_round(default_synth_config(), GOLDEN_SEED)
-    out.mkdir(parents=True, exist_ok=True)
-    write_applications(dataset.applications, out / "applications.csv")
-    write_medians(dataset.medians, out / "medians.csv")
-    write_registry(dataset.registry, out / "registry.csv")
-    report = analyze_round(dataset)
-    written = emit(report, "csv", out / "report")
-    written += emit(report, "json", out / "report")
-    return 3 + len(written)
+    """Write the golden dataset and report files under `out`; returns the file count.
+
+    Runs the asnqual commands with their stdout discarded; a command that
+    fails stops the run with its exit status.
+    """
+    round_files = [f"--{name}={out / name}.csv" for name in ("applications", "medians", "registry")]
+    for command in (
+        ["synth", f"--seed={GOLDEN_SEED}", f"--out={out}"],
+        ["analyze", *round_files, "--format=csv", f"--out={out / 'report'}"],
+        ["analyze", *round_files, "--format=json", f"--out={out / 'report'}"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = asnqual(command)
+        if status:
+            raise SystemExit(f"asnqual {' '.join(command)} exited {status}")
+    return sum(1 for p in out.rglob("*") if p.is_file())
 
 
 def differing_files(new: Path, old: Path) -> list[str]:

@@ -65,7 +65,6 @@ ROLE_LABELS = {Role.FULL: "full", Role.ASSOCIATE: "associate"}
 _LABELS = {**ROLE_LABELS, **{m: m.value for m in (*IndicatorKind, *Standing)}}
 _LABELS.update({t: t.value or "none" for t in MedianTag})
 _ROLE_KINDS = list(itertools.product(Role, IndicatorKind))
-_ROLES, _KINDS = tuple(Role), tuple(IndicatorKind)
 # Standing codes of the classified table: 0 over the median, 1 under it.
 _STANDINGS = (Standing.OVER_MEDIAN, Standing.UNDER_MEDIAN)
 
@@ -344,17 +343,11 @@ def _na_histogram(na_values: Sequence[int], width: float) -> list[HistogramBin]:
             f"{MAX_HIST_BINS} bins"
         )
     n_bins = max(1, math.ceil(span))
-    counts = [0] * n_bins
-    for v in na_values:
-        b = int(v // width)
-        # v // width can miss the bin edges b*width by one when width is not
-        # exact in binary; the edges as computed below decide.
-        while b * width > v:
-            b -= 1
-        while (b + 1) * width <= v:
-            b += 1
-        counts[b] += 1
-    return [HistogramBin(b * width, (b + 1) * width, c) for b, c in enumerate(counts)]
+    # v // width can miss the bin edges b*width by one when width is not exact
+    # in binary; np.histogram compares each value with the edges as computed.
+    counts, edges = np.histogram(na_values, np.arange(n_bins + 1) * width)
+    edges = edges.tolist()
+    return [HistogramBin(low, high, c) for low, high, c in zip(edges, edges[1:], counts.tolist())]
 
 
 def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundReport:
@@ -374,7 +367,6 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
 
     table = data.applications
     index = data.median_index()
-    kinds = data.registry_kinds()
     group, ind, qualified = table.group, table.ind, table.qualified
 
     # A group (a discipline with its sub-discipline, a role and a kind) has one median set.
@@ -383,8 +375,8 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     required = np.array([required_exceedances(m.kind) for m in median_sets], dtype=np.int64)
     exceeds, over = _classify_all(ind, group, medians, required)
 
-    labels = [(d.code, d.sub_discipline or "", role, kinds[d.code]) for d, role, _ in table.groups]
-    # One role x kind code per group, its _ROLE_KINDS index: role is code >> 1, kind code & 1.
+    labels = [(d.code, d.sub_discipline or "", role, kind) for d, role, kind in table.groups]
+    # One role x kind code per group: its _ROLE_KINDS index.
     role_kind = np.array(
         [_ROLE_KINDS.index((role, kind)) for _, _, role, kind in labels], dtype=np.int8
     )
@@ -402,17 +394,17 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     classified = ClassifiedTable((
         np.array(ids, dtype=object)[order],
         *np.array(labels, dtype=object).reshape(-1, 4)[sorted_group, :2].T,
-        EnumColumn(sorted_role_kind >> 1, _ROLES),
-        EnumColumn(sorted_role_kind & 1, _KINDS),
+        *(EnumColumn(sorted_role_kind, members) for members in zip(*_ROLE_KINDS)),
         *sorted_ind.T, exceeds[order],
         EnumColumn((~over[order]).view(np.int8), _STANDINGS), qualified[order],
     ))
 
-    # Discipline-level groups (code, role), in code and role order; the
+    # Discipline-level groups (code, role, kind), in code and role order; the
     # positions of each are a slice of one stable argsort, in dataset order.
-    keys = sorted({(code, role) for code, _, role, _ in labels}, key=lambda k: (k[0], k[1].value))
+    discipline_keys = [(code, role, kind) for code, _, role, kind in labels]
+    keys = sorted(set(discipline_keys), key=lambda k: (k[0], k[1].value))
     key_id = {key: k for k, key in enumerate(keys)}
-    coarse = np.array([key_id[code, role] for code, _, role, _ in labels], dtype=np.int32)[group]
+    coarse = np.array([key_id[key] for key in discipline_keys], dtype=np.int32)[group]
     members = np.argsort(coarse, kind="stable")
     sizes = np.bincount(coarse, minlength=len(keys))
     starts = np.cumsum(sizes) - sizes
@@ -420,9 +412,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     top_level = {(s.discipline.code, s.role): s for s in index.top_level()}
     role_rows: list[DisciplineRoleRow] = []
     min_median_rows: list[MinMedianRow] = []
-    min_counts = {Role.FULL: [0, 0, 0], Role.ASSOCIATE: [0, 0, 0]}
-    disciplines_seen = {Role.FULL: 0, Role.ASSOCIATE: 0}
-    for (code, role), start, size in zip(keys, starts.tolist(), sizes.tolist()):
+    for (code, role, kind), start, size in zip(keys, starts.tolist(), sizes.tolist()):
         positions = members[start:start + size]
         qual = qualified[positions]
         rates = rates_from_flags(qual, over[positions])
@@ -430,53 +420,48 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         n_qualified = int(np.count_nonzero(qual))
         qualified_over = int(np.count_nonzero(qual & over[positions]))
         role_rows.append(DisciplineRoleRow(
-            code, role, kinds[code], rates.n_total, n_qualified, rates.n_over, rates.n_under,
+            code, role, kind, rates.n_total, n_qualified, rates.n_over, rates.n_under,
             qualified_over, n_qualified - qualified_over, rates.pq, rates.pqo, rates.pqu,
             pvr.ratio, pvr.dominating_pairs, pvr.violations, pvr.no_comparable_pairs,
         ))
         m = top_level.get((code, role))
         if m is None:
             continue
-        disciplines_seen[role] += 1
         vectors = ind[positions[qual]]
         # argmin takes the first of equal values, as min() does with 0.0 and -0.0
         lows = vectors[vectors.argmin(axis=0), [0, 1, 2]].tolist() if len(vectors) else [_NAN] * 3
         for i, (median, low) in enumerate(zip(m.as_tuple(), lows)):
             min_median_rows.append(MinMedianRow(code, role, i + 1, median, low))
-            if low > median:
-                min_counts[role][i] += 1
-    min_qualified = [MinQualifiedRow(r, disciplines_seen[r], *min_counts[r]) for r in Role]
+    # Per role: disciplines (three scatter rows each, by component), and those above M_i.
+    min_qualified: list[MinQualifiedRow] = []
+    for role in Role:
+        scatter = [r for r in min_median_rows if r.role is role]
+        above = [sum(r.min_qualified > r.median for r in scatter[i::3]) for i in range(3)]
+        min_qualified.append(MinQualifiedRow(role, len(scatter) // 3, *above))
 
-    # Per code: applications, qualified, over, under, qualified over, qualified under.
-    pooled: dict[str, list[int]] = {}
-    # Per area: full and associate applications, full and associate qualified.
-    by_area: dict[str, list[int]] = {}
-    for r in role_rows:
-        counts = (r.applications, r.qualified, r.over_median, r.under_median,
-                  r.qualified_over, r.qualified_under)
-        sums = pooled.setdefault(r.discipline, [0] * 6)
-        for i, count in enumerate(counts):
-            sums[i] += count
-        area = by_area.setdefault(r.discipline[:2], [0] * 4)
-        slot = 0 if r.role is Role.FULL else 1
-        area[slot] += r.applications
-        area[2 + slot] += r.qualified
-    pooled_rows = [
-        DisciplinePooledRow(
-            code, kinds[code], n, k, over, under, k_over, k_under,
-            _rate(k, n), _rate(k_over, over), _rate(k_under, under),
+    # role_rows are in code order, so each discipline's rows are one run, and
+    # so are each area's.  A pooled row sums the six counts of its discipline's rows.
+    role_counts = operator.attrgetter(*(f.name for f in fields(DisciplinePooledRow)[2:8]))
+    pooled_rows: list[DisciplinePooledRow] = []
+    for (code, kind), run in itertools.groupby(role_rows, lambda r: (r.discipline, r.kind)):
+        n, k, n_over, n_under, k_over, k_under = map(sum, zip(*map(role_counts, run)))
+        pooled_rows.append(DisciplinePooledRow(
+            code, kind, n, k, n_over, n_under, k_over, k_under,
+            _rate(k, n), _rate(k_over, n_over), _rate(k_under, n_under),
+        ))
+    area_rows: list[AreaRow] = []
+    for area, run in itertools.groupby(role_rows, lambda r: r.discipline[:2]):
+        run = list(run)
+        n_full, n_assoc, k_full, k_assoc = (
+            sum(getattr(r, field) for r in run if r.role is role)
+            for field in ("applications", "qualified") for role in Role
         )
-        for code, (n, k, over, under, k_over, k_under) in pooled.items()
-    ]
-    area_rows = [
-        AreaRow(
+        area_rows.append(AreaRow(
             area, AREA_ACRONYMS[area], n_full, n_assoc, n_full + n_assoc,
             k_full, k_assoc, k_full + k_assoc,
             _rate(k_full, n_full), _rate(k_assoc, n_assoc),
             _rate(k_full + k_assoc, n_full + n_assoc),
-        )
-        for area, (n_full, n_assoc, k_full, k_assoc) in sorted(by_area.items())
-    ]
+        ))
 
     na_values = [r.applications for r in pooled_rows]
     bins = _na_histogram(na_values, hist_bin_width)
@@ -533,32 +518,26 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
             )
     correlations.append(_fa_correlation("PVR", "pvr", "all", pairs))
 
-    tag_rows: list[MedianTagRow] = []
-    violations = [0, 0, 0]
-    tag_counts: dict[MedianTag, list[int]] = {tag: [0, 0] for tag in MedianTag}
-    for full, assoc in median_pairs:
-        tag = tag_median_pair(full, assoc)
-        kind_slot = 0 if full.kind is IndicatorKind.BIBLIOMETRIC else 1
-        tag_counts[tag][kind_slot] += 1
-        if tag is not MedianTag.NONE:
-            tag_rows.append(MedianTagRow(full.discipline.code, full.kind, tag))
-        for i in range(3):
-            if full.as_tuple()[i] < assoc.as_tuple()[i]:
-                violations[i] += 1
-    tag_count_rows = [
-        TagCountRow(tag, counts[0], counts[1], counts[0] + counts[1])
-        for tag, counts in tag_counts.items()
+    tagged = [(full, assoc, tag_median_pair(full, assoc)) for full, assoc in median_pairs]
+    tag_rows = [
+        MedianTagRow(full.discipline.code, full.kind, tag)
+        for full, _, tag in tagged if tag is not MedianTag.NONE
     ]
-
-    ranked = sorted(
-        (r for r in pooled_rows if not math.isnan(r.pq)),
-        key=lambda r: (r.pq, r.discipline),
+    tag_count_rows: list[TagCountRow] = []
+    for tag in MedianTag:
+        b, nb = (sum(t is tag and f.kind is kind for f, _, t in tagged) for kind in IndicatorKind)
+        tag_count_rows.append(TagCountRow(tag, b, nb, b + nb))
+    violations = tuple(
+        sum(f.as_tuple()[i] < a.as_tuple()[i] for f, a, _ in tagged) for i in range(3)
     )
-    extreme: list[ExtremePqRow] = []
-    for rank, row in enumerate(ranked[:5], start=1):
-        extreme.append(ExtremePqRow("bottom", rank, row.discipline, row.pq))
-    for rank, row in enumerate(sorted(ranked, key=lambda r: (-r.pq, r.discipline))[:5], start=1):
-        extreme.append(ExtremePqRow("top", rank, row.discipline, row.pq))
+
+    # The five lowest and the five highest pooled rates, ties in code order.
+    rated = [r for r in pooled_rows if not math.isnan(r.pq)]
+    extreme = [
+        ExtremePqRow(position, rank, row.discipline, row.pq)
+        for position, sign in (("bottom", 1), ("top", -1))
+        for rank, row in enumerate(sorted(rated, key=lambda r: (sign * r.pq, r.discipline))[:5], 1)
+    ]
 
     return RoundReport(
         n_applications=len(table), n_qualified=int(np.count_nonzero(qualified)),
@@ -569,7 +548,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         rate_differences=tuple(rate_differences),
         median_census=zero_median_census(index.top_level()),
         median_tags=tuple(tag_rows), median_tag_counts=tuple(tag_count_rows),
-        component_violations=(violations[0], violations[1], violations[2]),
+        component_violations=violations,
         min_qualified=tuple(min_qualified), min_median_rows=tuple(min_median_rows),
         classified=classified, extreme_pq=tuple(extreme), na_histogram=tuple(bins),
         hist_bin_width=hist_bin_width,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -73,7 +74,11 @@ class ComponentModel:
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        # a str or bytes is one parameter, not a sequence of them; float() would take "2" and True
+        params = (self.params,) if isinstance(self.params, (str, bytes)) else tuple(self.params)
+        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in params):
+            raise ValueError(f"{self.family} parameters must be numbers, got {params!r}")
+        object.__setattr__(self, "params", tuple(map(float, params)))
         if not all(math.isfinite(p) for p in self.params):
             raise ValueError(f"{self.family} parameters must be finite, got {self.params}")
         spec = _FAMILIES.get(self.family)
@@ -108,7 +113,8 @@ class DisciplinePlan:
     relaxed_quantile: float = 0.5
 
     def __post_init__(self) -> None:
-        DisciplineId.parse(self.discipline)
+        # stripped, as the CSV parsers strip codes
+        object.__setattr__(self, "discipline", DisciplineId.parse(self.discipline).code)
         object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) != 3:
             raise ValueError("exactly three component models are required")

@@ -260,6 +260,8 @@ class TestAnalyzeSmallRound:
                 expected.append((low, high, sum(1 for v in na_values if low <= v < high)))
         got = [(h.low, h.high, h.count) for h in _na_histogram(na_values, width)]
         assert got == expected
+        # np.histogram drops a value outside the edges without a word
+        assert sum(count for _, _, count in got) == len(na_values)
 
     def test_extreme_pq_ranks_by_pooled_rate(self, report):
         top = [r for r in report.extreme_pq if r.position == "top"]

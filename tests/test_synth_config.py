@@ -6,6 +6,7 @@ import hashlib
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,6 +147,24 @@ def test_each_family_checks_its_parameters(family, params, message):
         ComponentModel(family, params)
 
 
+@pytest.mark.parametrize("family, params", [
+    # a string was taken one character at a time: lognormal(1.0, 2.0)
+    ("lognormal", "12"),
+    ("lognormal", b"12"),
+    # true was taken by float(): poisson(1.0)
+    ("poisson", (True,)),
+    # text was taken by float(): poisson(2.0)
+    ("poisson", ["2"]),
+])
+def test_a_component_model_takes_only_numbers_as_parameters(family, params):
+    with pytest.raises(ValueError, match=f"^{family} parameters must be numbers, got "):
+        ComponentModel(family, params)
+
+
+def test_a_numpy_integer_parameter_is_a_number():
+    assert ComponentModel("poisson", (np.int64(3),)).params == (3.0,)
+
+
 def test_save_creates_its_directory_and_leaves_no_part_file(tmp_path):
     config = default_synth_config()
     path = tmp_path / "a" / "b" / "config.json"
@@ -195,3 +214,23 @@ def test_a_config_number_given_as_text_or_a_bool_exits_1_naming_the_key(tmp_path
 def test_a_whole_float_field_given_as_an_integer_loads_as_a_float():
     (plan,) = SynthConfig.from_json(json.dumps({"plans": [{**REQUIRED, "flip_probability": 0}]})).plans
     assert plan.flip_probability == 0.0 and isinstance(plan.flip_probability, float)
+
+
+def test_a_padded_discipline_code_synthesizes_the_round_of_the_stripped_one(tmp_path):
+    default = default_synth_config().to_json()
+    padded = default.replace('"01/A1"', '"01/A1 "').replace('"02/A1"', '" 02/A1"')
+    assert padded != default
+    assert SynthConfig.from_json(padded) == default_synth_config()
+    config = tmp_path / "padded.json"
+    config.write_text(padded, encoding="utf-8")
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "padded")]) == 0
+    assert main(["synth", "--out", str(tmp_path / "bundled")]) == 0
+    for name in ("applications.csv", "medians.csv", "registry.csv"):
+        written = (tmp_path / "padded" / name).read_bytes()
+        assert written == (tmp_path / "bundled" / name).read_bytes()
+
+
+def test_a_padded_code_beside_the_same_code_is_a_duplicate_plan():
+    plans = [{**REQUIRED, "discipline": " 01/B1"}, {**REQUIRED, "discipline": "01/B1"}]
+    with pytest.raises(ValueError, match="duplicate discipline plans"):
+        SynthConfig.from_json(json.dumps({"plans": plans}))
