@@ -69,6 +69,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     config = SynthConfig.load(args.config) if args.config else default_synth_config()
     dataset = synthesize_round(config, args.seed)
     out = Path(args.out)

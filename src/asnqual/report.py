@@ -385,14 +385,18 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     group_keys = [(code, sub, role.value) for code, sub, role, _ in labels]
     rank_of = {key: r for r, key in enumerate(sorted(set(group_keys)))}
     rank = np.array([rank_of[key] for key in group_keys], dtype=np.intp)
-    ids = table.ids
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    ids = np.array(table.ids, dtype=object)
+    by_id = np.argsort(ids, kind="stable")
     order = by_id[np.argsort(rank[group[by_id]], kind="stable")]
+    # applicant_id is injective, so the distinct ids, each a run in id order,
+    # are the distinct names.
+    new_id = ids[by_id[1:]] != ids[by_id[:-1]]
+    distinct_names = int(np.count_nonzero(new_id)) + (len(ids) > 0)
     sorted_ind = ind[order]
     sorted_group = group[order]
     sorted_role_kind = role_kind[sorted_group]
     classified = ClassifiedTable((
-        np.array(ids, dtype=object)[order],
+        ids[order],
         *np.array(labels, dtype=object).reshape(-1, 4)[sorted_group, :2].T,
         *(EnumColumn(sorted_role_kind, members) for members in zip(*_ROLE_KINDS)),
         *sorted_ind.T, exceeds[order],
@@ -541,7 +545,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
 
     return RoundReport(
         n_applications=len(table), n_qualified=int(np.count_nonzero(qualified)),
-        n_disciplines=len(pooled_rows), distinct_names=len(set(zip(table.last, table.first))),
+        n_disciplines=len(pooled_rows), distinct_names=distinct_names,
         area_rows=tuple(area_rows), discipline_role_rows=tuple(role_rows),
         discipline_pooled_rows=tuple(pooled_rows), summaries=tuple(summaries),
         correlations=tuple(correlations), group_rates=tuple(group_rates),

@@ -37,14 +37,30 @@ class FiveNumberSummary:
 
 
 def five_number_summary(values: Iterable[float]) -> FiveNumberSummary:
-    """Min, quartiles and max; quartiles by linear interpolation of order statistics."""
+    """Min, quartiles and max; quartiles by linear interpolation of order statistics.
+
+    Quartile q sits at position p = q(n - 1) of the sorted sample.  With a
+    and b the order statistics at floor(p) and the next one, and t the
+    fraction of p, it is a + (b - a)t, or b - (b - a)(1 - t) from t = 0.5
+    on: the value np.percentile gives, but for the sign of a zero.
+    np.percentile itself would import numpy.ma, through np.unique, in the
+    middle of an analysis.
+    """
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
         raise ValueError("cannot summarize an empty sample")
     if not np.isfinite(data).all():
         raise ValueError("sample contains non-finite values")
-    mn, q1, med, q3, mx = np.percentile(data, [0, 25, 50, 75, 100])
-    return FiveNumberSummary(float(mn), float(q1), float(med), float(q3), float(mx))
+    ordered = np.sort(data).tolist()
+    last = len(ordered) - 1
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        position = q * last  # exact in binary
+        below = math.floor(position)
+        a, b = ordered[below], ordered[min(below + 1, last)]
+        t = position - below
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return FiveNumberSummary(ordered[0], *quartiles, ordered[last])
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ Whatever the applications and medians CSVs hold, `asnqual validate` and
 `asnqual analyze` return 0, 1 or 2, raise nothing and finish quickly.  The
 inputs are a small valid round put through the damage real exports show:
 truncation, mixed line endings, reordered headers, huge or non-finite
-numbers, line breaks inside names or sub-disciplines and duplicate keys.  `asnqual synth`
-keeps the same contract under damaged configs: truncated JSON, wrong types,
-non-finite numbers and sizes past the caps.
+numbers, line breaks inside names or sub-disciplines, duplicate keys, a
+discipline the registry or the medians lack, and an applicant in both roles.
+`asnqual synth` keeps the same contract under damaged configs: truncated
+JSON, wrong types, non-finite numbers and sizes past the caps.
 """
 
 import csv
@@ -78,8 +79,18 @@ def damaged_csv(draw, table, huge=HUGE):
         if draw(st.booleans()):
             copy[draw(st.sampled_from(numeric))] = "3"
         rows.insert(draw(st.integers(0, len(rows))), copy)
-    # line-break-in-name: a name holding \r or \n, which csv writes quoted or not
+    # unknown-discipline: a row moved to 01/A9, a well-formed code the registry
+    # lacks, or to 01/A2, which the registry holds but no median set covers
+    if "discipline" in header and draw(st.booleans()):
+        draw(st.sampled_from(rows))[header.index("discipline")] = draw(st.sampled_from(["01/A9", "01/A2"]))
     names = [c for c, name in enumerate(header) if name in NAME_COLUMNS]
+    # other-role: an applicant copied into the other role, which is no duplicate
+    if names and draw(st.booleans()):
+        copy = list(draw(st.sampled_from(rows)))
+        role = header.index("role")
+        copy[role] = {"1": "2", "2": "1"}.get(copy[role], copy[role])
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    # line-break-in-name: a name holding \r or \n, which csv writes quoted or not
     if names and draw(st.booleans()):
         row = draw(st.sampled_from(rows))
         row[draw(st.sampled_from(names))] = "Ro" + draw(NEWLINES) + "ssi"

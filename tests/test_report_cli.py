@@ -8,7 +8,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from asnqual.cli import main
@@ -16,6 +16,7 @@ from asnqual.dominance import ApplicationRecord
 from asnqual.indicators import IndicatorKind, IndicatorVector
 from asnqual.ingest import (
     RoundDataset,
+    applicant_id,
     load_default_registry,
     write_applications,
     write_medians,
@@ -277,6 +278,29 @@ class TestAnalyzeSmallRound:
         broken = RoundDataset(data.applications, data.medians[:-1], data.registry)
         with pytest.raises(ValueError, match="invalid dataset"):
             analyze_round(broken)
+
+
+# Both roles of a bibliometric and a non-bibliometric discipline.
+GROUPS = [(DisciplineId.parse(code), role, kind) for code, kind in (("01/A1", B), ("13/A5", NB))
+          for role in Role]
+ESCAPED_NAMES = st.text(alphabet="ab|\\", min_size=1, max_size=3)
+
+
+@given(st.lists(st.tuples(ESCAPED_NAMES, ESCAPED_NAMES, st.integers(0, len(GROUPS) - 1)), max_size=12))
+@example([])
+@example([("a", "b", 0)])
+@example([("a", "b", 0), ("a", "b", 1), ("a", "b", 3)])  # one person in three groups
+@example([("a|b", "a", 0), ("a", "b|a", 0)])  # joined with a bare `|`, both would be a|b|a
+@example([("a\\", "|b", 2), ("a\\|", "b", 2)])  # a `\` beside the `|`
+def test_distinct_names_counts_the_distinct_name_pairs(people):
+    applications = [
+        ApplicationRecord(applicant_id(last, first), last, first, discipline, role,
+                          IndicatorVector(1.0, 2.0, 3.0, kind), True)
+        for last, first, g in people for discipline, role, kind in [GROUPS[g]]
+    ]
+    medians = [MedianSet(discipline, role, 1, 1, 1, kind) for discipline, role, kind in GROUPS]
+    report = analyze_round(RoundDataset(applications, medians, load_default_registry()))
+    assert report.distinct_names == len({(last, first) for last, first, _ in people})
 
 
 class TestFullAssociatePairing:
@@ -816,3 +840,9 @@ class TestCli:
         assert "wrote 30 applications" in capsys.readouterr().out
         text = (out / "applications.csv").read_text(encoding="utf-8")
         assert len(text.splitlines()) == 31
+
+    def test_a_negative_seed_exits_1_naming_the_option(self, tmp_path, capsys):
+        out = tmp_path / "round"
+        assert main(["synth", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()

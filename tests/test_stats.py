@@ -46,6 +46,21 @@ class TestFiveNumberSummary:
         with pytest.raises(ValueError, match="non-finite"):
             five_number_summary([1.0, math.nan])
 
+    @given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, 1.0, 5e-324]),
+                    min_size=1, max_size=50))
+    def test_each_value_is_the_np_percentile_value(self, values):
+        expected = np.percentile(np.array(values), [0, 25, 50, 75, 100]).tolist()
+        # == is bit equality here, but for the sign of a zero
+        assert list(five_number_summary(values).as_tuple()) == expected
+
+    def test_no_numpy_ma_import(self):
+        # numpy 2 imports numpy.ma on first use, numpy 1 with numpy itself
+        code = "import sys; from asnqual.stats import five_number_summary as f; " \
+               "loaded = 'numpy.ma' in sys.modules; f([1.0, 2.0, 4.0]); " \
+               "sys.exit(('numpy.ma' in sys.modules) != loaded)"
+        env = {**os.environ, "PYTHONPATH": str(Path(stats.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     @given(st.lists(floats, min_size=1, max_size=50))
     def test_ordered_components(self, values):
         s = five_number_summary(values)
