@@ -6,13 +6,30 @@ Exit codes: 0 success, 1 validation errors, 2 I/O errors.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .ingest import load_round, write_applications, write_medians, write_registry
-from .report import InvalidDatasetError, analyze_round, emit
-from .synth import SynthConfig, default_synth_config, synthesize_round
+# The names the commands call, and the module of each.  A name is imported on
+# its first access as an attribute of this module, so that a command loads only
+# what it runs.  The commands call them through the module, so that a wrapper
+# set on it with setattr (perfbench/traced_cli.py) is the one that runs.
+_LAZY = {
+    **dict.fromkeys(("load_round", "write_applications", "write_medians", "write_registry"), "ingest"),
+    **dict.fromkeys(("InvalidDatasetError", "analyze_round", "emit"), "report"),
+    **dict.fromkeys(("SynthConfig", "default_synth_config", "synthesize_round"), "synth"),
+}
+# this module: asnqual.cli, or __main__ under python -m asnqual.cli
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,16 +71,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    dataset, diagnostics = load_round(args.applications, args.medians, args.registry)
+    dataset, diagnostics = _cli.load_round(args.applications, args.medians, args.registry)
     for diag in diagnostics:
         print(f"note: {diag}", file=sys.stderr)
     try:
-        report = analyze_round(dataset, hist_bin_width=args.bin_width)
-    except InvalidDatasetError as exc:
+        report = _cli.analyze_round(dataset, hist_bin_width=args.bin_width)
+    except _cli.InvalidDatasetError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
-    written = emit(report, args.format, args.out)
+    written = _cli.emit(report, args.format, args.out)
     print(f"wrote {len(written)} file(s) to {args.out}")
     return 0
 
@@ -71,12 +88,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    config = SynthConfig.load(args.config) if args.config else default_synth_config()
-    dataset = synthesize_round(config, args.seed)
+    config = _cli.SynthConfig.load(args.config) if args.config else _cli.default_synth_config()
+    dataset = _cli.synthesize_round(config, args.seed)
     out = Path(args.out)
-    write_applications(dataset.applications, out / "applications.csv")
-    write_medians(dataset.medians, out / "medians.csv")
-    write_registry(dataset.registry, out / "registry.csv")
+    _cli.write_applications(dataset.applications, out / "applications.csv")
+    _cli.write_medians(dataset.medians, out / "medians.csv")
+    _cli.write_registry(dataset.registry, out / "registry.csv")
     print(
         f"wrote {len(dataset.applications)} applications across "
         f"{len(dataset.medians)} median sets to {out}"
@@ -85,7 +102,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    dataset, diagnostics = load_round(args.applications, args.medians, args.registry)
+    dataset, diagnostics = _cli.load_round(args.applications, args.medians, args.registry)
     problems = dataset.validate()
     for diag in diagnostics:
         print(str(diag))

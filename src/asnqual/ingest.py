@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import operator
 import os
@@ -19,15 +20,20 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import IO, NoReturn, TypeVar
+from typing import IO, TYPE_CHECKING, NoReturn, TypeVar
 
-import numpy as np
-
-from .dominance import ApplicationRecord
 from .indicators import IndicatorKind, IndicatorVector
 from .thresholds import AREA_ACRONYMS, DisciplineId, MedianIndex, MedianSet, Role
+
+# numpy is imported by the functions that use it, so that reading and
+# validating a round does not load it.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dominance import ApplicationRecord
 
 # Areas 01-09 are bibliometric except five engineering/architecture codes;
 # areas 10-14 are non-bibliometric except the psychology macro-sector 11/E.
@@ -133,22 +139,40 @@ class ApplicationTable(Sequence):
     the report counts distinct names as distinct ids.
     Indexing and iteration yield ApplicationRecord rows, and a table equals a
     list or tuple of the same records.  No name or id holds a line break.
+
+    The numeric columns are held in one form each, a flat C-contiguous
+    buffer: ``group_buffer`` of int32 group ids, ``ind_buffer`` of float64
+    indicators, three per row, and ``qualified_buffer`` of 0/1 bytes.
+    ``group``, ``ind`` and ``qualified`` are numpy views of them, made on
+    first access without a copy.  Build a table with from_rows or
+    from_records, which check the columns.
     """
 
     ids: list[str]
     last: list[str]
     first: list[str]
     groups: tuple[tuple[DisciplineId, Role, IndicatorKind], ...]
-    group: np.ndarray
-    ind: np.ndarray
-    qualified: np.ndarray
+    group_buffer: array | np.ndarray
+    ind_buffer: array | np.ndarray
+    qualified_buffer: bytearray | np.ndarray
 
-    def __post_init__(self) -> None:
-        for column in (self.last, self.first, self.ids):
-            text = "".join(column)  # one scan per column; the row is found only on failure
-            if "\n" in text or "\r" in text:
-                row = next(i for i, name in enumerate(column) if "\n" in name or "\r" in name)
-                raise ValueError(f"row {row}: line break in applicant name {column[row]!r}")
+    @cached_property
+    def group(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self.group_buffer, dtype=np.int32)
+
+    @cached_property
+    def ind(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self.ind_buffer, dtype=np.float64).reshape(-1, 3)
+
+    @cached_property
+    def qualified(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self.qualified_buffer, dtype=np.bool_)
 
     @classmethod
     def from_rows(
@@ -166,18 +190,16 @@ class ApplicationTable(Sequence):
         ``group``, ``ind`` and ``qualified`` may be lists, numpy arrays or the
         typed buffers the parser fills: an ``array('i')`` of group ids, an
         ``array('d')`` of the indicators, three per row, and a ``bytearray``
-        of 0/1 outcomes.  A float64 or int32 buffer becomes the table's
-        column as it is, without a copy.
+        of 0/1 outcomes.  A C-contiguous buffer of int32, float64, or bool or
+        0/1 bytes becomes the table's column as it is, without a copy.
+        A name or id holding a line break is rejected with its row.
         """
-        group = np.asarray(group, dtype=np.int32)
-        used = np.bincount(group, minlength=len(groups)) > 0
-        if not used.all():
-            group = (np.cumsum(used, dtype=np.int32) - 1)[group]
-            groups = [g for g, keep in zip(groups, used.tolist()) if keep]
-        return cls(
-            ids, last, first, tuple(groups), group,
-            np.asarray(ind, dtype=float).reshape(-1, 3), np.asarray(qualified, dtype=bool),
-        )
+        for column in (last, first, ids):
+            text = "".join(column)  # one scan per column; the row is found only on failure
+            if "\n" in text or "\r" in text:
+                row = next(i for i, name in enumerate(column) if "\n" in name or "\r" in name)
+                raise ValueError(f"row {row}: line break in applicant name {column[row]!r}")
+        return _table(ids, last, first, groups, group, ind, qualified)
 
     @classmethod
     def from_records(cls, records: Iterable[ApplicationRecord]) -> ApplicationTable:
@@ -215,6 +237,8 @@ class ApplicationTable(Sequence):
         return f"ApplicationTable({len(self)} applications in {len(self.groups)} groups)"
 
     def _records(self, rows: slice) -> Iterator[ApplicationRecord]:
+        from .dominance import ApplicationRecord
+
         columns = (
             self.ids[rows], self.last[rows], self.first[rows], self.group[rows].tolist(),
             self.ind[rows].tolist(), self.qualified[rows].tolist(),
@@ -225,6 +249,53 @@ class ApplicationTable(Sequence):
                 applicant, last, first, discipline, role,
                 IndicatorVector(v1, v2, v3, kind), qualified,
             )
+
+
+def _buffer(values, formats: tuple[str, ...], itemsize: int, convert: Callable):
+    """`values` as it is if it is a C-contiguous buffer of `itemsize`-byte items in one
+    of the buffer `formats`, else `convert(values)`."""
+    try:
+        view = memoryview(values)
+    except (TypeError, ValueError):  # no buffer, or numpy's object arrays
+        return convert(values)
+    if view.c_contiguous and view.format in formats and view.itemsize == itemsize:
+        return values
+    return convert(values)
+
+
+def _floats(values) -> array:
+    """A float column as an ``array('d')``, with rows of (v1, v2, v3) flattened."""
+    try:
+        return array("d", values)
+    except TypeError:
+        return array("d", itertools.chain.from_iterable(values))
+
+
+def _group_ids(buffer: array | np.ndarray) -> memoryview:
+    """The items of an int32 buffer, as Python ints."""
+    return memoryview(buffer).cast("B").cast("i")
+
+
+def _table(ids, last, first, groups, group, ind, qualified) -> ApplicationTable:
+    """ApplicationTable.from_rows without its name check, for a parser that checked each row."""
+    group = _buffer(group, ("i", "l"), 4, lambda v: array("i", v))
+    ind = _buffer(ind, ("d",), 8, _floats)
+    qualified = _buffer(qualified, ("?", "B"), 1, lambda v: bytearray(map(bool, v)))
+    codes = _group_ids(group)
+    # the indicator column holds three float64 values, 24 bytes, per row
+    lengths = {len(ids), len(last), len(first), len(codes), memoryview(ind).nbytes / 24,
+               memoryview(qualified).nbytes}
+    if len(lengths) > 1:
+        raise ValueError(f"application columns of unequal lengths: {sorted(lengths)}")
+    used = set(codes)
+    if used and (min(used) < 0 or max(used) >= len(groups)):
+        raise ValueError(f"group id outside the {len(groups)} groups")
+    if len(used) < len(groups):
+        keep = sorted(used)
+        renumber = dict(zip(keep, range(len(keep))))
+        group = array("i", map(renumber.__getitem__, codes))
+        groups = [groups[g] for g in keep]
+    return ApplicationTable(ids, last, first, tuple(groups), group, ind, qualified)
 
 
 @contextmanager
@@ -483,9 +554,8 @@ def parse_applications(
         group.append(gid)
         values.extend((v1, v2, v3))
         flags.append(qualified)
-    del seen  # before from_rows joins each name column: 1.4 MB less at the peak for 55,200 rows
-    table = ApplicationTable.from_rows(ids, lasts, firsts, groups, group, values, flags)
-    return table, diagnostics
+    # _check_names has checked every name, so the table is built without from_rows' check
+    return _table(ids, lasts, firsts, groups, group, values, flags), diagnostics
 
 
 def parse_medians(
@@ -586,9 +656,9 @@ class RoundDataset:
                 index.resolve(discipline, role)
             except KeyError:
                 found[-1].append(f"no median set for {discipline.code} role {role.value}")
-        flawed = np.array([bool(f) for f in found], dtype=bool)
-        for i in np.flatnonzero(flawed[table.group]).tolist():
-            problems.extend(f"application {table.ids[i]}: {p}" for p in found[table.group[i]])
+        if any(found):
+            for i, g in enumerate(_group_ids(table.group_buffer)):
+                problems.extend(f"application {table.ids[i]}: {p}" for p in found[g])
         return problems
 
 
@@ -612,11 +682,12 @@ def load_round(
 # Rows per block of a CSV file or of a report.json table: each block is
 # formatted column by column, and is all of a table that is held as text.
 BLOCK_ROWS = 1024
-_FLAG_CELLS = np.array(["false", "true"], dtype=object)
 
 
 def number_cells(values: Sequence[float], nan: str = "nan", below: float = math.inf) -> list[str]:
     """Cells of a float column: NaN as `nan`, integral values under `below` as integers, else repr."""
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     integral = (np.abs(values) < below) & (np.trunc(values) == values)
     cells = np.empty(len(values), dtype=object)
@@ -679,20 +750,25 @@ def write_applications(
     applications: ApplicationTable | Iterable[ApplicationRecord], target: str | Path | IO[str]
 ) -> None:
     """The applications as CSV, each block of rows formatted column by column."""
+    import numpy as np
+
     table = applications
     if not isinstance(table, ApplicationTable):
         table = ApplicationTable.from_records(table)
     labels = np.array(
         [(d.code, d.sub_discipline or "", str(r.value)) for d, r, _ in table.groups], dtype=object
     ).reshape(-1, 3)
+    flag_cells = np.array(["false", "true"], dtype=object)
     write_csv(target, APPLICATION_COLUMNS, len(table), lambda rows: [
         table.last[rows], table.first[rows], *labels[table.group[rows]].T.tolist(),
         *map(number_cells, table.ind[rows].T),
-        _FLAG_CELLS[table.qualified[rows].view(np.int8)].tolist(),
+        flag_cells[table.qualified[rows].view(np.int8)].tolist(),
     ])
 
 
 def write_medians(sets: Iterable[MedianSet], target: str | Path | IO[str]) -> None:
+    import numpy as np
+
     sets = list(sets)
     labels = [(m.discipline.code, m.discipline.sub_discipline or "", str(m.role.value),
                _KIND_TO_CODE[m.kind]) for m in sets]

@@ -279,7 +279,7 @@ def synthesize_round(
         discipline = DisciplineId.parse(plan.discipline)
         for role, n in ((Role.FULL, plan.n_full), (Role.ASSOCIATE, plan.n_associate)):
             professor_values = [c.sample(rng, plan.professors) for c in plan.components]
-            m1, m2, m3 = (compute_median(values) for values in professor_values)
+            m1, m2, m3 = (compute_median(values.tolist()) for values in professor_values)
             median_set = MedianSet(discipline, role, m1, m2, m3, kind)
             medians.append(median_set)
             ind = np.column_stack([c.sample(rng, n) for c in plan.components])

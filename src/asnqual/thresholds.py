@@ -12,12 +12,13 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .dominance import dominates
 from .indicators import IndicatorKind, IndicatorVector, store_finite_nonnegative
+
+# statistics and .dominance (which loads numpy) are imported by the two functions
+# that use them, so that validating a round loads neither.
 
 AREA_ACRONYMS = {
     "01": "MCS",
@@ -145,6 +146,8 @@ class Standing(enum.Enum):
 
 def compute_median(values: Iterable[float]) -> float:
     """Sample median; the midpoint of the two central order statistics for even n."""
+    import statistics
+
     data = list(values)
     if not data:
         raise ValueError("cannot take the median of an empty population")
@@ -203,6 +206,8 @@ def zero_median_census(sets: Iterable[MedianSet]) -> ZeroMedianCensus:
 
 def tag_median_pair(full: MedianSet, assoc: MedianSet) -> MedianTag:
     """Anomaly tag for the (full, associate) median sets of one discipline."""
+    from .dominance import dominates
+
     if full.discipline != assoc.discipline:
         raise ValueError(
             f"discipline mismatch: {full.discipline.code} vs {assoc.discipline.code}"
