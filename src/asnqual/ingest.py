@@ -277,7 +277,7 @@ def _group_ids(buffer: array | np.ndarray) -> memoryview:
 
 
 def _table(ids, last, first, groups, group, ind, qualified) -> ApplicationTable:
-    """ApplicationTable.from_rows without its name check, for a parser that checked each row."""
+    """ApplicationTable.from_rows without its name check, for names known to hold no line break."""
     group = _buffer(group, ("i", "l"), 4, lambda v: array("i", v))
     ind = _buffer(ind, ("d",), 8, _floats)
     qualified = _buffer(qualified, ("?", "B"), 1, lambda v: bytearray(map(bool, v)))

@@ -65,8 +65,8 @@ ROLE_LABELS = {Role.FULL: "full", Role.ASSOCIATE: "associate"}
 _LABELS = {**ROLE_LABELS, **{m: m.value for m in (*IndicatorKind, *Standing)}}
 _LABELS.update({t: t.value or "none" for t in MedianTag})
 _ROLE_KINDS = list(itertools.product(Role, IndicatorKind))
-# Standing codes of the classified table: 0 over the median, 1 under it.
-_STANDINGS = (Standing.OVER_MEDIAN, Standing.UNDER_MEDIAN)
+# The standing of a row, indexed by its over-median flag.
+_STANDINGS = (Standing.UNDER_MEDIAN, Standing.OVER_MEDIAN)
 
 
 @dataclass(frozen=True)
@@ -209,10 +209,15 @@ class ClassifiedApplication:
 
 @dataclass(frozen=True, eq=False)
 class EnumColumn:
-    """A column of enum members held as int8 codes: row i is members[codes[i]]."""
+    """Values taken at an index: row i is members[codes[i]].
 
-    codes: np.ndarray
-    members: tuple
+    ``codes`` is an integer array, or an EnumColumn of integers when ``members``
+    is a sequence, not an array.  A few members can stand for many rows (one
+    label per group), and an order can read a column in place.
+    """
+
+    codes: np.ndarray | EnumColumn
+    members: np.ndarray | Sequence
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -221,29 +226,29 @@ class EnumColumn:
         return EnumColumn(self.codes[rows], self.members)
 
     def tolist(self) -> list:
-        return self.labels(self.members)
-
-    def labels(self, of_members: Sequence) -> list:
-        """of_members[codes[i]] for every row i."""
-        return np.array(of_members, dtype=object)[self.codes].tolist()
+        if isinstance(self.members, np.ndarray):
+            return self.members[self.codes].tolist()
+        return list(map(self.members.__getitem__, self.codes.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class ClassifiedTable:
     """The classified applications as one column per ClassifiedApplication field.
 
-    Rows are sorted by discipline, sub-discipline, role and applicant id;
-    ``role``, ``kind`` and ``standing`` are EnumColumns, the other fields
-    arrays.  Iterating yields ClassifiedApplication rows.
+    Rows are sorted by discipline, sub-discipline, role and applicant id: each
+    column is an EnumColumn that reads a dataset column, or a group's label,
+    through that one order.  Iterating gathers one block of rows at a time.
     """
 
-    columns: tuple[np.ndarray | EnumColumn, ...]
+    columns: tuple[EnumColumn, ...]
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __iter__(self) -> Iterator[ClassifiedApplication]:
-        return map(ClassifiedApplication, *(column.tolist() for column in self.columns))
+        for lo in range(0, len(self), BLOCK_ROWS):
+            block = (column[lo:lo + BLOCK_ROWS].tolist() for column in self.columns)
+            yield from map(ClassifiedApplication, *block)
 
 
 @dataclass(frozen=True)
@@ -376,10 +381,10 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     exceeds, over = _classify_all(ind, group, medians, required)
 
     labels = [(d.code, d.sub_discipline or "", role, kind) for d, role, kind in table.groups]
-    # One role x kind code per group: its _ROLE_KINDS index.
+    # One role x kind code per row: the _ROLE_KINDS index of its group's.
     role_kind = np.array(
         [_ROLE_KINDS.index((role, kind)) for _, _, role, kind in labels], dtype=np.int8
-    )
+    )[group]
     # Rows in (discipline code, sub-discipline, role, applicant id) order, by
     # two stable sorts: equal keys keep their dataset order.
     group_keys = [(code, sub, role.value) for code, sub, role, _ in labels]
@@ -392,15 +397,13 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     # are the distinct names.
     new_id = ids[by_id[1:]] != ids[by_id[:-1]]
     distinct_names = int(np.count_nonzero(new_id)) + (len(ids) > 0)
-    sorted_ind = ind[order]
-    sorted_group = group[order]
-    sorted_role_kind = role_kind[sorted_group]
+    in_order = functools.partial(EnumColumn, order)
     classified = ClassifiedTable((
-        ids[order],
-        *np.array(labels, dtype=object).reshape(-1, 4)[sorted_group, :2].T,
-        *(EnumColumn(sorted_role_kind, members) for members in zip(*_ROLE_KINDS)),
-        *sorted_ind.T, exceeds[order],
-        EnumColumn((~over[order]).view(np.int8), _STANDINGS), qualified[order],
+        in_order(table.ids),
+        *(EnumColumn(in_order(group), [label[f] for label in labels]) for f in (0, 1)),
+        *(EnumColumn(in_order(role_kind), members) for members in zip(*_ROLE_KINDS)),
+        *map(in_order, ind.T), in_order(exceeds),
+        EnumColumn(in_order(over.view(np.int8)), _STANDINGS), in_order(qualified),
     ))
 
     # Discipline-level groups (code, role, kind), in code and role order; the
@@ -479,7 +482,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     ]
 
     # Applications and qualified per role x kind x standing, over-median first.
-    cells = 2 * role_kind[group] + ~over
+    cells = 2 * role_kind + ~over
     n_cells = np.bincount(cells, minlength=8).tolist()
     k_cells = np.bincount(cells[qualified], minlength=8).tolist()
     group_rates = [
@@ -510,7 +513,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
             correlations.append(_fa_correlation(f"M{i}", f"m{i}", kind.value, kind_pairs))
     suffix = {Role.FULL: "F", Role.ASSOCIATE: "A"}
     for rk, (role, kind) in enumerate(_ROLE_KINDS):
-        vectors = sorted_ind[sorted_role_kind == rk]
+        vectors = ind[role_kind == rk]
         for i, j in ((0, 1), (0, 2), (1, 2)):
             x, y = (f"ind{c + 1}.{suffix[role]}" for c in (i, j))
             result = _safe_spearman(vectors[:, i], vectors[:, j])
@@ -606,12 +609,15 @@ def _rule(kind: type, format: int) -> Callable[[Sequence], list[str]]:
 def _format_column(column: Sequence | EnumColumn, format: int) -> list:
     """A column's text, each value through the rule of its type.
 
-    An EnumColumn formats its members once, a column of one type goes through
-    its rule in bulk, and a mixed column value by value.  Arrays go through
-    tolist(): numpy 2 writes repr(np.float64(x)) as "np.float64(x)".
+    An EnumColumn formats its members or its rows' values, whichever are
+    fewer; a column of one type goes through its rule in bulk, and a mixed
+    column value by value.  Arrays go through tolist(): numpy 2 writes
+    repr(np.float64(x)) as "np.float64(x)".
     """
     if isinstance(column, EnumColumn):
-        return column.labels(_rule(type(column.members[0]), format)(column.members))
+        if len(column.members) < len(column):
+            return EnumColumn(column.codes, _format_column(column.members, format)).tolist()
+        column = column.tolist()
     values = column.tolist() if isinstance(column, np.ndarray) else column
     kinds = set(map(type, values))
     if len(kinds) == 1:

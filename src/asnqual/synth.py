@@ -30,9 +30,9 @@ import numpy as np
 
 from .indicators import IndicatorKind, IndicatorVector
 from .ingest import (
-    ApplicationTable,
     DisciplineRegistryEntry,
     RoundDataset,
+    _table,
     load_default_registry,
     output_file,
 )
@@ -293,8 +293,9 @@ def synthesize_round(
             sizes.append(n)
     last = list(map("Applicant-{:05d}".format, range(1, sum(sizes) + 1)))
     first = ["Synth"] * len(last)
-    # applicant_id escapes nothing here: no synthesized name holds | or \
-    table = ApplicationTable.from_rows(
+    # applicant_id escapes nothing here, and from_rows' line-break scan has
+    # nothing to find: no synthesized name holds |, \ or a line break
+    table = _table(
         list(map("{}|Synth".format, last)), last, first, groups,
         np.repeat(np.arange(len(groups), dtype=np.int32), sizes),
         np.concatenate(indicators) if indicators else [],

@@ -17,8 +17,8 @@ from typing import Iterable, Iterator
 
 from .indicators import IndicatorKind, IndicatorVector, store_finite_nonnegative
 
-# statistics and .dominance (which loads numpy) are imported by the two functions
-# that use them, so that validating a round loads neither.
+# .dominance (which loads numpy) is imported by the function that uses it, so
+# that validating a round does not load it.
 
 AREA_ACRONYMS = {
     "01": "MCS",
@@ -146,12 +146,11 @@ class Standing(enum.Enum):
 
 def compute_median(values: Iterable[float]) -> float:
     """Sample median; the midpoint of the two central order statistics for even n."""
-    import statistics
-
-    data = list(values)
+    data = sorted(values)
     if not data:
         raise ValueError("cannot take the median of an empty population")
-    return float(statistics.median(data))
+    mid = len(data) // 2
+    return float(data[mid] if len(data) % 2 else (data[mid - 1] + data[mid]) / 2)
 
 
 def exceeds_count(v: IndicatorVector, m: MedianSet) -> int:

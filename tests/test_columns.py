@@ -10,6 +10,9 @@ per-application record.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from asnqual.cli import main
 from asnqual.dominance import ApplicationRecord
 from asnqual.indicators import IndicatorKind, IndicatorVector
+from asnqual.ingest import ApplicationTable
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,6 +76,26 @@ def test_synth_files_keep_their_bytes(tmp_path, seed):
         for p in sorted((tmp_path / "round").iterdir())
     }
     assert written == SYNTH_SHA256[seed]
+
+
+def test_synth_builds_its_table_without_the_name_scan(monkeypatch, tmp_path):
+    # synth makes its own names, which hold no line break
+    def refuse(*args, **kwargs):
+        raise AssertionError("synth scanned its names through ApplicationTable.from_rows")
+
+    monkeypatch.setattr(ApplicationTable, "from_rows", refuse)
+    assert synth(tmp_path, CONFIG, min(SYNTH_SHA256)) == 0
+
+
+def test_synth_does_not_import_statistics(tmp_path):
+    code = ("import sys; from asnqual.cli import main; "
+            "main(['synth', '--out', sys.argv[1]]); print('statistics' in sys.modules)")
+    src = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, src))}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("component, message", [

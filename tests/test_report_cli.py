@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import json
 import math
+import random
 import time
 import tracemalloc
 
@@ -478,6 +479,25 @@ class TestGolden:
             assert (regenerated / "report" / name).read_bytes() == (
                 golden_dir / "report" / name
             ).read_bytes(), f"report table {name} drifted"
+
+    def test_shuffled_input_rows_give_the_golden_report(self, golden_dir, tmp_path):
+        # The inter-indicator correlations read the rows in dataset order, so
+        # this also pins them to the rows' values, not their order.
+        rng = random.Random(1301)
+        round_args = []
+        for name in ("applications", "medians", "registry"):
+            header, *rows = (golden_dir / f"{name}.csv").read_bytes().splitlines(keepends=True)
+            shuffled = rng.sample(rows, len(rows))
+            assert shuffled != rows
+            (tmp_path / f"{name}.csv").write_bytes(header + b"".join(shuffled))
+            round_args += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        out = tmp_path / "report"
+        for fmt in ("csv", "json"):
+            assert main(["analyze", *round_args, "--format", fmt, "--out", str(out)]) == 0
+        golden_files = sorted(p.name for p in (golden_dir / "report").iterdir())
+        assert sorted(p.name for p in out.iterdir()) == golden_files
+        for name in golden_files:
+            assert (out / name).read_bytes() == (golden_dir / "report" / name).read_bytes(), name
 
 
 class TestCli:

@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asnqual.dominance import ApplicationRecord
@@ -84,8 +84,13 @@ def written(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-@given(rounds(), st.sampled_from([50.0, 3.0, 0.7]))
-def test_every_table_matches_the_reference(data, width):
+# Blocks of 1 and 3 rows make the emit and the iteration read the classified
+# columns, gathered through their sort order, across block boundaries.
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rounds(), st.sampled_from([50.0, 3.0, 0.7]), st.sampled_from([1, 3, 1024]))
+def test_every_table_matches_the_reference(monkeypatch, data, width, block_rows):
+    for module in (report_module, ingest_module):
+        monkeypatch.setattr(module, "BLOCK_ROWS", block_rows)
     assert not data.validate()
     tables = reference_tables(data, width)
     report = analyze_round(data, hist_bin_width=width)
