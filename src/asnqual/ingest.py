@@ -187,19 +187,25 @@ class ApplicationTable(Sequence):
     ) -> ApplicationTable:
         """A table from per-row columns; groups that hold no row are dropped.
 
-        ``group``, ``ind`` and ``qualified`` may be lists, numpy arrays or the
-        typed buffers the parser fills: an ``array('i')`` of group ids, an
-        ``array('d')`` of the indicators, three per row, and a ``bytearray``
-        of 0/1 outcomes.  A C-contiguous buffer of int32, float64, or bool or
-        0/1 bytes becomes the table's column as it is, without a copy.
-        A name or id holding a line break is rejected with its row.
+        ``group``, ``ind`` and ``qualified`` may be any sequences or numpy
+        arrays: group ids, the indicators as rows of three or three per row,
+        and outcomes.  Each is copied into the table's layout.  A name or id
+        holding a line break, or a column that does not convert, is rejected
+        with a ValueError.
         """
         for column in (last, first, ids):
             text = "".join(column)  # one scan per column; the row is found only on failure
             if "\n" in text or "\r" in text:
                 row = next(i for i, name in enumerate(column) if "\n" in name or "\r" in name)
                 raise ValueError(f"row {row}: line break in applicant name {column[row]!r}")
-        return _table(ids, last, first, groups, group, ind, qualified)
+        columns = []
+        for name, values, convert in (("group", group, lambda v: array("i", v)), ("ind", ind, _floats),
+                                      ("qualified", qualified, lambda v: bytearray(map(bool, v)))):
+            try:
+                columns.append(convert(values))
+            except (OverflowError, TypeError) as exc:
+                raise ValueError(f"application column {name}: {exc}") from None
+        return _table(ids, last, first, groups, *columns)
 
     @classmethod
     def from_records(cls, records: Iterable[ApplicationRecord]) -> ApplicationTable:
@@ -251,18 +257,6 @@ class ApplicationTable(Sequence):
             )
 
 
-def _buffer(values, formats: tuple[str, ...], itemsize: int, convert: Callable):
-    """`values` as it is if it is a C-contiguous buffer of `itemsize`-byte items in one
-    of the buffer `formats`, else `convert(values)`."""
-    try:
-        view = memoryview(values)
-    except (TypeError, ValueError):  # no buffer, or numpy's object arrays
-        return convert(values)
-    if view.c_contiguous and view.format in formats and view.itemsize == itemsize:
-        return values
-    return convert(values)
-
-
 def _floats(values) -> array:
     """A float column as an ``array('d')``, with rows of (v1, v2, v3) flattened."""
     try:
@@ -277,10 +271,9 @@ def _group_ids(buffer: array | np.ndarray) -> memoryview:
 
 
 def _table(ids, last, first, groups, group, ind, qualified) -> ApplicationTable:
-    """ApplicationTable.from_rows without its name check, for names known to hold no line break."""
-    group = _buffer(group, ("i", "l"), 4, lambda v: array("i", v))
-    ind = _buffer(ind, ("d",), 8, _floats)
-    qualified = _buffer(qualified, ("?", "B"), 1, lambda v: bytearray(map(bool, v)))
+    """A table that keeps its columns as given: C-contiguous buffers of int32 group ids,
+    float64 indicators (three per row) and 0/1 outcomes, as the parser and synth make
+    them, with names that the parser has checked or synth made without a line break."""
     codes = _group_ids(group)
     # the indicator column holds three float64 values, 24 bytes, per row
     lengths = {len(ids), len(last), len(first), len(codes), memoryview(ind).nbytes / 24,

@@ -41,6 +41,7 @@ from .thresholds import (
     Role,
     Standing,
     ZeroMedianCensus,
+    classify_rows as _classify_all,  # a module global: a wrapper set on it here is called
     required_exceedances,
     tag_median_pair,
     zero_median_census,
@@ -326,17 +327,6 @@ def _fa_correlation(label: str, field: str, group: str, pairs: Sequence[tuple]) 
     return CorrelationRow(f"{label}.F", f"{label}.A", group, result)
 
 
-def _classify_all(
-    ind: np.ndarray, group: np.ndarray, medians: np.ndarray, required: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Thresholds each application strictly exceeds, and whether it is over-median.
-
-    ``medians`` and ``required`` hold one row per group.
-    """
-    exceeds = (ind > medians[group]).sum(axis=1)
-    return exceeds, exceeds >= required[group]
-
-
 def _na_histogram(na_values: Sequence[int], width: float) -> list[HistogramBin]:
     """Bins [b*width, (b+1)*width) from 0 up past the largest application count."""
     if not na_values:
@@ -378,7 +368,7 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
     median_sets = [index.resolve(discipline, role) for discipline, role, _ in table.groups]
     medians = np.array([m.as_tuple() for m in median_sets], dtype=float).reshape(-1, 3)
     required = np.array([required_exceedances(m.kind) for m in median_sets], dtype=np.int64)
-    exceeds, over = _classify_all(ind, group, medians, required)
+    exceeds, over = _classify_all(ind, medians[group], required[group])
 
     labels = [(d.code, d.sub_discipline or "", role, kind) for d, role, kind in table.groups]
     # One role x kind code per row: the _ROLE_KINDS index of its group's.
@@ -588,31 +578,17 @@ _RULES: dict[type, tuple[Callable[[Sequence], list[str]], Callable[[Sequence], l
     **{enum: (_each(_LABELS.__getitem__), _each(_JSON_LABELS.__getitem__))
        for enum in (Role, IndicatorKind, Standing, MedianTag)},
     str: (_each(str), _each(encode_basestring_ascii)),
-    type(None): (_each(str), lambda values: ["null"] * len(values)),
 }
 _CSV, _JSON = 0, 1
 
 
-def _rule(kind: type, format: int) -> Callable[[Sequence], list[str]]:
-    """The column rule of the nearest type in ``kind``'s MRO that has one: bool before int.
-
-    A type without one is written by str in CSV and cannot go in report.json.
-    """
-    for base in kind.__mro__:
-        if base in _RULES:
-            return _RULES[base][format]
-    if format == _JSON:
-        raise TypeError(f"report.json cannot hold a value of type {kind.__name__}")
-    return _each(str)
-
-
 def _format_column(column: Sequence | EnumColumn, format: int) -> list:
-    """A column's text, each value through the rule of its type.
+    """A column's text, through the rule of the one type its values hold.
 
     An EnumColumn formats its members or its rows' values, whichever are
-    fewer; a column of one type goes through its rule in bulk, and a mixed
-    column value by value.  Arrays go through tolist(): numpy 2 writes
-    repr(np.float64(x)) as "np.float64(x)".
+    fewer.  Arrays go through tolist(): numpy 2 writes repr(np.float64(x)) as
+    "np.float64(x)".  A column of two types, or of a type without a rule
+    (None, a subclass, a numpy scalar), raises TypeError.
     """
     if isinstance(column, EnumColumn):
         if len(column.members) < len(column):
@@ -620,14 +596,13 @@ def _format_column(column: Sequence | EnumColumn, format: int) -> list:
         column = column.tolist()
     values = column.tolist() if isinstance(column, np.ndarray) else column
     kinds = set(map(type, values))
-    if len(kinds) == 1:
-        return _rule(kinds.pop(), format)(values)
-    return [_rule(type(value), format)([value])[0] for value in values]
+    if len(kinds) > 1 or not kinds <= _RULES.keys():
+        names = ", ".join(sorted(kind.__name__ for kind in kinds))
+        raise TypeError(f"a report column holds one type with a cell rule, got {names}")
+    return _RULES[kinds.pop()][format](values) if kinds else []
 
 
 _csv_column = functools.partial(_format_column, format=_CSV)
-
-
 _json_column = functools.partial(_format_column, format=_JSON)
 
 

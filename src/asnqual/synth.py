@@ -36,7 +36,7 @@ from .ingest import (
     load_default_registry,
     output_file,
 )
-from .thresholds import DisciplineId, MedianSet, Role, compute_median, required_exceedances
+from .thresholds import DisciplineId, MedianSet, Role, classify_rows, compute_median, required_exceedances
 
 # Upper bounds on the sizes a config asks for, checked when it loads, so that a
 # mistyped count fails at once instead of exhausting memory: all applications
@@ -242,7 +242,7 @@ def _decide(
     plan: DisciplinePlan, ind: np.ndarray, medians: MedianSet, rng: np.random.Generator
 ) -> np.ndarray:
     """The qualified flags of one group's n x 3 indicators."""
-    strict = (ind > medians.as_tuple()).sum(axis=1) >= required_exceedances(medians.kind)
+    _, strict = classify_rows(ind, medians.as_tuple(), required_exceedances(medians.kind))
     if plan.decision is DecisionModel.STRICT_MEDIAN:
         return strict
     if plan.decision is DecisionModel.NOISY_THRESHOLD:
@@ -270,8 +270,9 @@ def synthesize_round(
     medians: list[MedianSet] = []
     groups: list[tuple[DisciplineId, Role, IndicatorKind]] = []
     sizes: list[int] = []
-    indicators: list[np.ndarray] = []
-    decisions: list[np.ndarray] = []
+    # typed empties, so that a round without plans has columns of the table's layout
+    indicators: list[np.ndarray] = [np.empty((0, 3))]
+    decisions: list[np.ndarray] = [np.empty(0, dtype=bool)]
     for plan in config.plans:
         kind = kinds.get(plan.discipline)
         if kind is None:
@@ -298,7 +299,6 @@ def synthesize_round(
     table = _table(
         list(map("{}|Synth".format, last)), last, first, groups,
         np.repeat(np.arange(len(groups), dtype=np.int32), sizes),
-        np.concatenate(indicators) if indicators else [],
-        np.concatenate(decisions) if decisions else [],
+        np.concatenate(indicators), np.concatenate(decisions),
     )
     return RoundDataset(table, medians, entries)

@@ -13,12 +13,14 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .indicators import IndicatorKind, IndicatorVector, store_finite_nonnegative
 
 # .dominance (which loads numpy) is imported by the function that uses it, so
 # that validating a round does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 AREA_ACRONYMS = {
     "01": "MCS",
@@ -164,6 +166,13 @@ def exceeds_count(v: IndicatorVector, m: MedianSet) -> int:
 
 def required_exceedances(kind: IndicatorKind) -> int:
     return 2 if kind is IndicatorKind.BIBLIOMETRIC else 1
+
+
+def classify_rows(ind: np.ndarray, medians, required) -> tuple[np.ndarray, np.ndarray]:
+    """Thresholds each row of an n x 3 array strictly exceeds, and whether it is over-median;
+    ``medians`` and ``required`` hold one triple and one count for all rows, or one per row."""
+    exceeds = (ind > medians).sum(axis=1)
+    return exceeds, exceeds >= required
 
 
 def classify(v: IndicatorVector, m: MedianSet) -> Standing:

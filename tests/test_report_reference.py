@@ -6,7 +6,8 @@ disciplines that have one role only, sub-disciplines with and without
 their own median set (an empty one too), zero medians, signed zeros, and names holding a
 comma, a quote, a bar or a backslash.  Every CSV table and report.json
 must be byte-identical.  The streamed report.json writer is also checked
-against json.dumps on generated tables of every value type.
+against json.dumps on generated tables of every value type, one type per
+column.
 """
 
 import csv
@@ -133,14 +134,13 @@ EDGE_FLOATS = [
 FLOATS = st.sampled_from([float(x) for x in EDGE_FLOATS]) | st.floats(allow_infinity=False)
 INTS = st.integers(-(2**64), 2**64) | st.sampled_from([2**53 + 1, -(2**53 + 1), 0])
 INT64S = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([2**53 + 1, -(2**53 + 1), 0])
-SCALARS = st.one_of(
-    FLOATS, INTS, st.booleans(), st.sampled_from([*Role, *IndicatorKind, *Standing, *MedianTag]),
-    st.text(max_size=3),
-)
+ENUMS = [Role, IndicatorKind, Standing, MedianTag]
+# Every type that has a cell rule, each with its values: a report column holds one of them.
+TYPED = [FLOATS, INTS, st.booleans(), st.text(max_size=3), *map(st.sampled_from, ENUMS)]
 UNIFORM = [(float, FLOATS), (int, INT64S), (bool, st.booleans())]
 
 
-@given(st.lists(SCALARS, max_size=20) | st.one_of(*(st.lists(s, max_size=20) for _, s in UNIFORM)))
+@given(st.one_of(*(st.lists(values, max_size=20) for values in TYPED)))
 def test_column_formatters_follow_the_cell_rules(values):
     assert _csv_column(values) == [cell(v) for v in values]
     assert _json_column(values) == [json.dumps(jsonable(v)) for v in values]
@@ -155,37 +155,38 @@ def test_array_columns_format_as_their_python_values(typed):
 
 
 class Grade(enum.IntEnum):
-    """An enum without a rule of its own: its MRO reaches int."""
+    """An int subclass: a type of its own, without a cell rule."""
 
     PASS = 1
 
 
-@pytest.mark.parametrize("values", [[Grade.PASS], [Grade.PASS, 2.5]])
-def test_a_type_takes_the_rule_of_its_nearest_base(values):
-    assert _csv_column(values) == [cell(v) for v in values]
-    assert _json_column(values) == [json.dumps(v) for v in values]
-
-
-@pytest.mark.parametrize("values", [[Fraction(1, 3)], [Fraction(1, 3), "a"]])
-def test_a_type_without_a_rule_is_str_in_csv_and_refused_in_json(values):
-    assert _csv_column(values) == list(map(str, values))
-    with pytest.raises(TypeError, match="^report.json cannot hold a value of type Fraction$"):
-        _json_column(values)
+@pytest.mark.parametrize("values, types", [
+    ([1, 2.5], "float, int"),
+    ([True, 1], "bool, int"),
+    ([Fraction(1, 3), "a"], "Fraction, str"),
+    ([None], "NoneType"),
+    ([Grade.PASS], "Grade"),
+    ([Fraction(1, 3)], "Fraction"),
+    ([np.float64(1.0)], "float64"),
+], ids=["mixed", "bool and int", "mixed, one without a rule", "None", "IntEnum", "Fraction",
+        "numpy scalar"])
+@pytest.mark.parametrize("format_column", [_csv_column, _json_column], ids=["csv", "json"])
+def test_a_column_of_two_types_or_of_a_type_without_a_rule_is_refused(format_column, values, types):
+    with pytest.raises(TypeError, match=f"^a report column holds one type with a cell rule, got {types}$"):
+        format_column(values)
 
 
 # Text with non-ASCII and control characters, quotes and backslashes.
 TEXT = st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\n\x00\x1f\x7f'), max_size=4)
 JSON_FLOATS = st.sampled_from([float(x) for x in EDGE_FLOATS] + [math.inf, -math.inf]) | st.floats()
-JSON_SCALARS = st.one_of(
-    JSON_FLOATS, INTS, st.booleans(), st.none(), TEXT,
-    st.sampled_from([*Role, *IndicatorKind, *Standing, *MedianTag]),
-)
+JSON_TYPED = [JSON_FLOATS, INTS, st.booleans(), TEXT, *map(st.sampled_from, ENUMS)]
 JSON_ARRAYS = [(float, JSON_FLOATS), (int, INT64S), (bool, st.booleans())]
 
 
 @st.composite
 def json_tables(draw):
-    """{name: (header, columns)}: list or array columns of one length, 0 and 1 rows included."""
+    """{name: (header, columns)}: list or array columns of one length and one type each,
+    0 and 1 rows included."""
     tables = {}
     for name in draw(st.lists(TEXT, min_size=1, max_size=4, unique=True)):
         n_rows = draw(st.sampled_from([0, 1]) | st.integers(0, 9))
@@ -193,7 +194,8 @@ def json_tables(draw):
         columns = []
         for _ in header:
             if draw(st.booleans()):
-                columns.append(draw(st.lists(JSON_SCALARS, min_size=n_rows, max_size=n_rows)))
+                values = draw(st.sampled_from(JSON_TYPED))
+                columns.append(draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
             else:
                 dtype, values = draw(st.sampled_from(JSON_ARRAYS))
                 values = draw(st.lists(values, min_size=n_rows, max_size=n_rows))

@@ -177,11 +177,25 @@ def test_from_rows_builds_the_same_table_from_any_column_form(columns):
     assert table.qualified.dtype == np.bool_ and table.qualified.tolist() == QUALIFIED
 
 
-def test_from_rows_keeps_a_buffer_of_the_columns_layout_without_a_copy():
+def test_from_rows_copies_a_buffer_even_of_the_columns_layout():
     group, values, flags = np.array([2, 0, 1], dtype=np.int32), np.array(VALUES).reshape(3, 3), np.array(QUALIFIED)
     table = ApplicationTable.from_rows(*NAMES, GROUPS, group, values, flags)
-    assert table.group_buffer is group and table.ind_buffer is values and table.qualified_buffer is flags
-    assert np.shares_memory(table.ind, values) and np.shares_memory(table.qualified, flags)
+    assert (table.group_buffer.typecode, table.ind_buffer.typecode) == ("i", "d")
+    assert type(table.qualified_buffer) is bytearray
+    for column, given in ((table.group, group), (table.ind, values), (table.qualified, flags)):
+        assert not np.shares_memory(column, given)
+        assert column.tolist() == given.tolist()
+
+
+def test_synth_keeps_its_drawn_arrays_as_the_tables_columns():
+    from asnqual.synth import default_synth_config, synthesize_round
+
+    table = synthesize_round(default_synth_config(), 7).applications
+    buffers = (table.group_buffer, table.ind_buffer, table.qualified_buffer)
+    assert [(type(b), b.dtype) for b in buffers] == [
+        (np.ndarray, np.int32), (np.ndarray, np.float64), (np.ndarray, np.bool_)
+    ]
+    assert all(map(np.shares_memory, (table.group, table.ind, table.qualified), buffers))
 
 
 @pytest.mark.parametrize("group, values, flags, message", [
@@ -190,6 +204,13 @@ def test_from_rows_keeps_a_buffer_of_the_columns_layout_without_a_copy():
     (GROUP, VALUES, QUALIFIED + [True], "unequal lengths"),
     ([2, 0, 3], VALUES, QUALIFIED, "group id outside the 3 groups"),
     ([2, 0, -1], VALUES, QUALIFIED, "group id outside the 3 groups"),
+    # values the column's layout cannot hold, named with the column
+    ([2**32, 0, 1], VALUES, QUALIFIED, "^application column group: "),
+    (np.array([2**40, 0, 1]), VALUES, QUALIFIED, "^application column group: "),
+    ([0.5, 0, 1], VALUES, QUALIFIED, "^application column group: "),
+    (GROUP, ["a", *VALUES[1:]], QUALIFIED, "^application column ind: "),
+    (GROUP, [("1", "2", "3")] * 3, QUALIFIED, "^application column ind: "),
+    (GROUP, VALUES, 1, "^application column qualified: "),
 ])
 def test_from_rows_rejects_columns_that_do_not_fit(group, values, flags, message):
     with pytest.raises(ValueError, match=message):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from asnqual import synth
 from asnqual.cli import main
+from asnqual.ingest import APPLICATION_COLUMNS, MEDIAN_COLUMNS
 from asnqual.synth import (
     MAX_PROFESSORS,
     ComponentModel,
@@ -73,6 +74,13 @@ def test_an_unknown_plan_key_exits_1_naming_the_config_and_the_key(tmp_path, cap
     assert err.startswith(f"error: {config}: "), err
     assert "unknown plan key(s) 'profesors'" in err
     assert not out.exists()
+
+
+def test_a_config_without_plans_writes_a_round_of_headers_only(tmp_path):
+    config = write_config(tmp_path, {"plans": []})
+    assert main(["synth", "--config", config, "--out", str(tmp_path / "round")]) == 0
+    for name, header in (("applications.csv", APPLICATION_COLUMNS), ("medians.csv", MEDIAN_COLUMNS)):
+        assert (tmp_path / "round" / name).read_text(encoding="utf-8") == ",".join(header) + "\n"
 
 
 def test_an_unknown_component_key_is_malformed():

@@ -1,6 +1,7 @@
 import statistics
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from asnqual.thresholds import (
     Standing,
     ZeroMedianCensus,
     classify,
+    classify_rows,
     compute_median,
     exceeds_count,
     required_exceedances,
@@ -158,6 +160,36 @@ class TestClassify:
             raised = list(values)
             raised[i] += bump
             assert classify(vec(*raised), m) is Standing.OVER_MEDIAN
+
+
+# Indicator or median triples, with ties between the two likely.
+TRIPLES = st.tuples(*[st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 100)] * 3)
+
+
+class TestClassifyRows:
+    def test_worked_rows_against_one_median_set(self):
+        exceeds, over = classify_rows(np.array([[11, 15, 6], [13, 12, 7.0]]), (10, 13.2, 7), 2)
+        assert exceeds.tolist() == [2, 1] and over.tolist() == [True, False]
+
+    @given(st.lists(st.tuples(TRIPLES, TRIPLES, st.sampled_from(IndicatorKind)), max_size=20))
+    def test_one_median_set_per_row_agrees_with_classify(self, rows):
+        sets = [mset(*medians, kind=kind) for _, medians, kind in rows]
+        vectors = [vec(*values, kind) for values, _, kind in rows]
+        exceeds, over = classify_rows(
+            np.array([values for values, _, _ in rows]).reshape(-1, 3),
+            np.array([s.as_tuple() for s in sets]).reshape(-1, 3),
+            np.array([required_exceedances(s.kind) for s in sets], dtype=int),
+        )
+        assert exceeds.tolist() == [exceeds_count(v, s) for v, s in zip(vectors, sets)]
+        assert over.tolist() == [classify(v, s) is Standing.OVER_MEDIAN for v, s in zip(vectors, sets)]
+
+    @given(st.lists(TRIPLES, max_size=20), TRIPLES, st.sampled_from(IndicatorKind))
+    def test_one_median_set_for_all_rows_is_that_set_on_every_row(self, rows, medians, kind):
+        ind = np.array(rows).reshape(-1, 3)
+        required = required_exceedances(kind)
+        exceeds, over = classify_rows(ind, medians, required)
+        each = classify_rows(ind, np.tile(medians, (len(rows), 1)), np.full(len(rows), required))
+        assert (exceeds.tolist(), over.tolist()) == (each[0].tolist(), each[1].tolist())
 
 
 class TestZeroMedianCensus:
