@@ -11,24 +11,19 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-# The names the commands call, and the module of each.  A name is imported on
-# its first access as an attribute of this module, so that a command loads only
+# The names the commands call are the package's exports, each imported on its
+# first access as an attribute of this module, so that a command loads only
 # what it runs.  The commands call them through the module, so that a wrapper
 # set on it with setattr (perfbench/traced_cli.py) is the one that runs.
-_LAZY = {
-    **dict.fromkeys(("load_round", "write_applications", "write_medians", "write_registry"), "ingest"),
-    **dict.fromkeys(("InvalidDatasetError", "analyze_round", "emit"), "report"),
-    **dict.fromkeys(("SynthConfig", "default_synth_config", "synthesize_round"), "synth"),
-}
 # this module: asnqual.cli, or __main__ under python -m asnqual.cli
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    package = importlib.import_module(__package__)
+    if name not in package.__all__:  # an export, not the package's own __path__ or __all__
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(package, name)
     return value
 
 

@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 import os
+import re
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
@@ -131,26 +132,24 @@ class _RowDamage(ValueError):
 class ApplicationTable(Sequence):
     """The applications of a round as columns; records are built only on demand.
 
-    Row i is applicant ``ids[i]``, named ``last[i]`` and ``first[i]``, with the
-    indicators ``ind[i]`` (an n x 3 float64 array) and the outcome
-    ``qualified[i]`` (bool), in group ``group[i]`` (int32).  ``groups`` holds
-    the (discipline, role, kind) of each group, and every group has a row.
-    The parser and synth give each row the id ``applicant_id(last, first)``;
-    the report counts distinct names as distinct ids.
-    Indexing and iteration yield ApplicationRecord rows, and a table equals a
-    list or tuple of the same records.  No name or id holds a line break.
+    Row i is applicant ``ids[i]``, the ``applicant_id`` of its names, which are
+    read back from it by ``split_applicant_id``, with the indicators ``ind[i]``
+    (an n x 3 float64 array) and the outcome ``qualified[i]`` (bool), in group
+    ``group[i]`` (int32).  ``groups`` holds the (discipline, role, kind) of each
+    group, and every group has a row.  Indexing and iteration yield
+    ApplicationRecord rows, and a table equals a list or tuple of the same
+    records.  No name holds a line break.
 
     The numeric columns are held in one form each, a flat C-contiguous
     buffer: ``group_buffer`` of int32 group ids, ``ind_buffer`` of float64
     indicators, three per row, and ``qualified_buffer`` of 0/1 bytes.
     ``group``, ``ind`` and ``qualified`` are numpy views of them, made on
     first access without a copy.  Build a table with from_rows or
-    from_records, which check the columns.
+    from_records, which check the columns; from_records also rejects a record
+    whose id is not that of its names.
     """
 
     ids: list[str]
-    last: list[str]
-    first: list[str]
     groups: tuple[tuple[DisciplineId, Role, IndicatorKind], ...]
     group_buffer: array | np.ndarray
     ind_buffer: array | np.ndarray
@@ -177,9 +176,8 @@ class ApplicationTable(Sequence):
     @classmethod
     def from_rows(
         cls,
-        ids: list[str],
-        last: list[str],
-        first: list[str],
+        last: Sequence[str],
+        first: Sequence[str],
         groups: Sequence[tuple[DisciplineId, Role, IndicatorKind]],
         group: array | Sequence[int] | np.ndarray,
         ind: array | Sequence[float] | Sequence[tuple[float, float, float]] | np.ndarray,
@@ -187,25 +185,26 @@ class ApplicationTable(Sequence):
     ) -> ApplicationTable:
         """A table from per-row columns; groups that hold no row are dropped.
 
-        ``group``, ``ind`` and ``qualified`` may be any sequences or numpy
-        arrays: group ids, the indicators as rows of three or three per row,
-        and outcomes.  Each is copied into the table's layout.  A name or id
-        holding a line break, or a column that does not convert, is rejected
-        with a ValueError.
+        The table keeps the ``applicant_id`` of each row's names.  ``group``,
+        ``ind`` and ``qualified`` may be any sequences or numpy arrays: group
+        ids, the indicators as rows of three or three per row, and outcomes.
+        Each is copied into the table's layout.  A name holding a line break,
+        or a column that does not convert or fit, is rejected with a ValueError.
         """
-        for column in (last, first, ids):
+        for column in (last, first):
             text = "".join(column)  # one scan per column; the row is found only on failure
             if "\n" in text or "\r" in text:
                 row = next(i for i, name in enumerate(column) if "\n" in name or "\r" in name)
                 raise ValueError(f"row {row}: line break in applicant name {column[row]!r}")
+        ids = [applicant_id(*names) for names in zip(last, first, strict=True)]
         columns = []
         for name, values, convert in (("group", group, lambda v: array("i", v)), ("ind", ind, _floats),
                                       ("qualified", qualified, lambda v: bytearray(map(bool, v)))):
-            try:
-                columns.append(convert(values))
+            try:  # array() reads a list far faster than it reads numpy scalars one by one
+                columns.append(convert(getattr(values, "tolist", lambda: values)()))
             except (OverflowError, TypeError) as exc:
                 raise ValueError(f"application column {name}: {exc}") from None
-        return _table(ids, last, first, groups, *columns)
+        return _table(ids, groups, *columns)
 
     @classmethod
     def from_records(cls, records: Iterable[ApplicationRecord]) -> ApplicationTable:
@@ -216,9 +215,12 @@ class ApplicationTable(Sequence):
              r.indicators.as_tuple(), r.qualified)
             for r in records
         ]
-        columns = [list(c) for c in zip(*rows)] or [[] for _ in range(6)]
-        ids, last, first, group, ind, qualified = columns
-        return cls.from_rows(ids, last, first, list(group_of), group, ind, qualified)
+        ids, last, first, group, ind, qualified = [list(c) for c in zip(*rows)] or [[]] * 6
+        table = cls.from_rows(last, first, list(group_of), group, ind, qualified)
+        if ids != table.ids:
+            row = next(i for i, pair in enumerate(zip(ids, table.ids)) if pair[0] != pair[1])
+            raise ValueError(f"row {row}: applicant id {ids[row]!r} is not that of its names")
+        return table
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -245,14 +247,12 @@ class ApplicationTable(Sequence):
     def _records(self, rows: slice) -> Iterator[ApplicationRecord]:
         from .dominance import ApplicationRecord
 
-        columns = (
-            self.ids[rows], self.last[rows], self.first[rows], self.group[rows].tolist(),
-            self.ind[rows].tolist(), self.qualified[rows].tolist(),
-        )
-        for applicant, last, first, g, (v1, v2, v3), qualified in zip(*columns):
+        columns = (self.ids[rows], self.group[rows].tolist(), self.ind[rows].tolist(),
+                   self.qualified[rows].tolist())
+        for applicant, g, (v1, v2, v3), qualified in zip(*columns):
             discipline, role, kind = self.groups[g]
             yield ApplicationRecord(
-                applicant, last, first, discipline, role,
+                applicant, *split_applicant_id(applicant), discipline, role,
                 IndicatorVector(v1, v2, v3, kind), qualified,
             )
 
@@ -270,14 +270,13 @@ def _group_ids(buffer: array | np.ndarray) -> memoryview:
     return memoryview(buffer).cast("B").cast("i")
 
 
-def _table(ids, last, first, groups, group, ind, qualified) -> ApplicationTable:
+def _table(ids, groups, group, ind, qualified) -> ApplicationTable:
     """A table that keeps its columns as given: C-contiguous buffers of int32 group ids,
     float64 indicators (three per row) and 0/1 outcomes, as the parser and synth make
-    them, with names that the parser has checked or synth made without a line break."""
+    them, with the ids of names the parser checked or synth made without a line break."""
     codes = _group_ids(group)
     # the indicator column holds three float64 values, 24 bytes, per row
-    lengths = {len(ids), len(last), len(first), len(codes), memoryview(ind).nbytes / 24,
-               memoryview(qualified).nbytes}
+    lengths = {len(ids), len(codes), memoryview(ind).nbytes / 24, memoryview(qualified).nbytes}
     if len(lengths) > 1:
         raise ValueError(f"application columns of unequal lengths: {sorted(lengths)}")
     used = set(codes)
@@ -288,7 +287,7 @@ def _table(ids, last, first, groups, group, ind, qualified) -> ApplicationTable:
         renumber = dict(zip(keep, range(len(keep))))
         group = array("i", map(renumber.__getitem__, codes))
         groups = [groups[g] for g in keep]
-    return ApplicationTable(ids, last, first, tuple(groups), group, ind, qualified)
+    return ApplicationTable(ids, tuple(groups), group, ind, qualified)
 
 
 @contextmanager
@@ -437,6 +436,18 @@ def applicant_id(last: str, first: str) -> str:
     return f"{last}|{first}"
 
 
+def split_applicant_id(identity: str) -> tuple[str, str]:
+    """The (last, first) names of an `applicant_id`, its exact inverse; a ValueError if it is none."""
+    if "\\" not in identity:  # nothing is escaped, so the one | splits it
+        last, first = identity.split("|")
+        return last, first
+    # two runs of escapes and other characters, split by a bare |
+    match = re.fullmatch(r"((?:[^\\|]|\\.)*)\|((?:[^\\|]|\\.)*)", identity, re.DOTALL)
+    if match is None:
+        raise ValueError(f"not an applicant id: {identity!r}")
+    return tuple(re.sub(r"\\(.)", r"\1", name, flags=re.DOTALL) for name in match.groups())
+
+
 def load_default_registry() -> list[DisciplineRegistryEntry]:
     """The complete 184-discipline registry shipped with the package."""
     data = resources.files("asnqual").joinpath("data/registry.csv").read_text("utf-8")
@@ -493,8 +504,6 @@ def parse_applications(
     # The ids already read in each group, for the duplicate check.
     seen: list[set[str]] = []
     ids: list[str] = []
-    lasts: list[str] = []
-    firsts: list[str] = []
     # Typed buffers, not per-row objects: the group id, the three indicators
     # and the 0/1 outcome of each row.
     group = array("i")
@@ -542,13 +551,11 @@ def parse_applications(
             )
         in_group.add(identity)
         ids.append(identity)
-        lasts.append(last)
-        firsts.append(first)
         group.append(gid)
         values.extend((v1, v2, v3))
         flags.append(qualified)
     # _check_names has checked every name, so the table is built without from_rows' check
-    return _table(ids, lasts, firsts, groups, group, values, flags), diagnostics
+    return _table(ids, groups, group, values, flags), diagnostics
 
 
 def parse_medians(
@@ -753,7 +760,7 @@ def write_applications(
     ).reshape(-1, 3)
     flag_cells = np.array(["false", "true"], dtype=object)
     write_csv(target, APPLICATION_COLUMNS, len(table), lambda rows: [
-        table.last[rows], table.first[rows], *labels[table.group[rows]].T.tolist(),
+        *zip(*map(split_applicant_id, table.ids[rows])), *labels[table.group[rows]].T.tolist(),
         *map(number_cells, table.ind[rows].T),
         flag_cells[table.qualified[rows].view(np.int8)].tolist(),
     ])

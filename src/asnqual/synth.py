@@ -157,7 +157,7 @@ class SynthConfig:
                     raise ValueError(f"unknown plan key(s) {', '.join(map(repr, unknown))}")
                 # a key left out takes the field's default
                 plans.append(DisciplinePlan(**{k: _PLAN_READERS[k](v, k) for k, v in raw.items()}))
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, RecursionError, TypeError) as exc:
             raise ValueError(f"malformed synth config: {exc}") from exc
         return cls(tuple(plans))
 
@@ -292,12 +292,9 @@ def synthesize_round(
             indicators.append(ind)
             groups.append((discipline, role, kind))
             sizes.append(n)
-    last = list(map("Applicant-{:05d}".format, range(1, sum(sizes) + 1)))
-    first = ["Synth"] * len(last)
-    # applicant_id escapes nothing here, and from_rows' line-break scan has
-    # nothing to find: no synthesized name holds |, \ or a line break
+    # applicant_id escapes nothing in these ids, and no name in them holds a line break
     table = _table(
-        list(map("{}|Synth".format, last)), last, first, groups,
+        list(map("Applicant-{:05d}|Synth".format, range(1, sum(sizes) + 1))), groups,
         np.repeat(np.arange(len(groups), dtype=np.int32), sizes),
         np.concatenate(indicators), np.concatenate(decisions),
     )

@@ -1,11 +1,12 @@
 """Frozen per-row references of `parse_applications`, `RoundDataset.validate`
-and `write_applications`.
+and `write_applications`, with the inverse of `applicant_id`.
 
 Compact copies of them as they were before ingest moved onto columns:
 `csv.DictReader` reads every row into a dict first, then each row is checked
 in turn and kept as an ApplicationRecord, and the dataset check resolves a
 median set for every application.  The writer formats one row at a time and
-hands every row to csv.writer.  They import the domain classes only, so a
+hands every row to csv.writer, with the names read back from the row's id one
+character at a time.  They import the domain classes only, so a
 change to the ingest module's own code cannot leak into them.
 """
 
@@ -107,6 +108,26 @@ def applicant_id(last, first):
     return f"{last}|{first}"
 
 
+def split_applicant_id(identity):
+    """The (last, first) names of an applicant_id, read one character at a time."""
+    names, name, escaped = [], [], False
+    for char in identity:
+        if escaped:
+            name.append(char)
+            escaped = False
+        elif char == "\\":
+            escaped = True
+        elif char == "|":
+            names.append("".join(name))
+            name = []
+        else:
+            name.append(char)
+    names.append("".join(name))
+    if escaped or len(names) != 2:
+        raise ValueError(f"not an applicant id: {identity!r}")
+    return tuple(names)
+
+
 def reference_parse_applications(source, registry):
     """(records, [(line, message, severity)]); raises ValueError on a hard error."""
     kinds = {entry.discipline.code: entry.kind for entry in registry}
@@ -202,7 +223,7 @@ def reference_write_applications(table, handle):
     for i in range(len(table)):
         discipline, role, _ = table.groups[table.group[i]]
         writer.writerow([
-            table.last[i], table.first[i], discipline.code, discipline.sub_discipline or "",
+            *split_applicant_id(table.ids[i]), discipline.code, discipline.sub_discipline or "",
             role.value, *map(_format_value, table.ind[i].tolist()),
             "true" if table.qualified[i] else "false",
         ])

@@ -335,7 +335,7 @@ class TestApplicationTable:
                   (DisciplineId.parse("13/A5"), Role.FULL, IndicatorKind.NON_BIBLIOMETRIC)]
         values = array("d", [11.0, 15.0, 6.0, 0.5, -0.0, 2.0, 5e-324, 3.0, 1e300])
         table = ApplicationTable.from_rows(
-            ["a|X", "b|X", "c|X"], ["a", "b", "c"], ["X"] * 3, groups,
+            ["a", "b", "c"], ["X"] * 3, groups,
             array("i", [2, 0, 2]), values, bytearray([1, 0, 1]),
         )
         assert table.group.dtype == np.int32 and table.group.tolist() == [1, 0, 1]
@@ -343,25 +343,21 @@ class TestApplicationTable:
         assert table.ind.dtype == np.float64 and table.ind.shape == (3, 3)
         assert table.ind.ravel().tolist() == values.tolist()
         assert table.qualified.dtype == np.bool_ and table.qualified.tolist() == [True, False, True]
-        empty = ApplicationTable.from_rows([], [], [], groups, array("i"), array("d"), bytearray())
+        empty = ApplicationTable.from_rows([], [], groups, array("i"), array("d"), bytearray())
         assert empty.group.dtype == np.int32 and empty.ind.shape == (0, 3) and empty.groups == ()
         assert empty.qualified.dtype == np.bool_
 
     @pytest.mark.parametrize("name", ["Ro\rssi", "Ro\nssi", "Ro\r\nssi"])
-    @pytest.mark.parametrize("field, record_field", [
-        ("ids", "applicant_id"), ("last", "last_name"), ("first", "first_name"),
-    ])
-    def test_a_line_break_in_a_name_is_rejected_with_its_row(self, name, field, record_field):
+    @pytest.mark.parametrize("record_field", ["last_name", "first_name"])
+    def test_a_line_break_in_a_name_is_rejected_with_its_row(self, name, record_field):
         # a report CSV would write a bare \r unquoted, and the file would not load back
         table, _ = parse_applications(apps_csv(*self.ROWS))
-        columns = {"ids": list(table.ids), "last": list(table.last), "first": list(table.first)}
-        columns[field][2] = name
         records = list(table)
         records[2] = dataclasses.replace(records[2], **{record_field: name})
         builds = (
             lambda: ApplicationTable.from_rows(
-                columns["ids"], columns["last"], columns["first"], table.groups, table.group,
-                table.ind, table.qualified,
+                [r.last_name for r in records], [r.first_name for r in records], table.groups,
+                table.group, table.ind, table.qualified,
             ),
             lambda: ApplicationTable.from_records(records),
             lambda: RoundDataset(records, [], []),
@@ -369,6 +365,20 @@ class TestApplicationTable:
         for build in builds:
             with pytest.raises(ValueError, match=re.escape(f"row 2: line break in applicant name {name!r}")):
                 build()
+
+    @pytest.mark.parametrize("field, value", [
+        ("applicant_id", "Bianchi|Luca|"), ("applicant_id", "Bianchi Luca"),
+        ("last_name", "Bianco"), ("first_name", "Luca|"),
+    ])
+    def test_a_record_whose_id_is_not_that_of_its_names_is_rejected_with_its_row(self, field, value):
+        # the table keeps the id alone, so the names would not read back
+        table, _ = parse_applications(apps_csv(*self.ROWS))
+        records = list(table)
+        records[2] = dataclasses.replace(records[2], **{field: value})
+        message = f"row 2: applicant id {records[2].applicant_id!r} is not that of its names"
+        for build in (ApplicationTable.from_records, lambda rows: RoundDataset(rows, [], [])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(records)
 
 
 class TestParseMedians:

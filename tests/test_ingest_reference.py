@@ -9,7 +9,8 @@ first decode chunk.  The records, the (line, message, severity) of every
 diagnostic and any hard error must be the same.  The writer's inputs are
 tables one row short of, at, and past the 1,024-row block, with names that
 need quoting and values at the edges of the integer and repr forms; the
-bytes must be the same.
+bytes must be the same.  The writers read the names back from the ids, so
+both inverses of applicant_id must give back every pair of names.
 """
 
 import csv
@@ -26,12 +27,15 @@ from hypothesis import strategies as st
 from asnqual.indicators import IndicatorKind
 from asnqual.ingest import (
     ApplicationTable,
+    applicant_id,
     load_default_registry,
     parse_applications,
+    split_applicant_id,
     write_applications,
 )
 from asnqual.thresholds import DisciplineId, Role
 from ingest_reference import reference_parse_applications, reference_write_applications
+from ingest_reference import split_applicant_id as reference_split_applicant_id
 from test_cli_fuzz import APPLICATIONS, NEWLINES, csv_text, damaged_csv
 
 REGISTRY = load_default_registry()
@@ -180,8 +184,7 @@ def application_tables(draw, finite=False):
         for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
             last[row], first[row] = draw(NAMES), draw(NAMES)
     group = rng.integers(0, len(GROUPS), n)
-    ids = [f"{a}|{b}" for a, b in zip(last, first)]
-    return ApplicationTable.from_rows(ids, last, first, GROUPS, group, ind, rng.random(n) < 0.5)
+    return ApplicationTable.from_rows(last, first, GROUPS, group, ind, rng.random(n) < 0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -202,3 +205,14 @@ def test_a_written_round_reads_back_equal(table):
     parsed, diagnostics = parse_applications(io.StringIO(text.getvalue()), REGISTRY)
     assert diagnostics == []
     assert parsed == table
+
+
+ID_NAMES = st.text(alphabet=st.sampled_from('|\\ab\r\n,"'), max_size=6)
+
+
+@settings(max_examples=500)
+@pytest.mark.parametrize("split", [split_applicant_id, reference_split_applicant_id],
+                         ids=["split_applicant_id", "reference"])
+@given(ID_NAMES, ID_NAMES)
+def test_the_names_are_read_back_from_their_id(split, last, first):
+    assert split(applicant_id(last, first)) == (last, first)

@@ -60,8 +60,7 @@ def application_tables(draw):
 
 def table_of(groups, rows):
     group, last, first, ind, qualified = (list(c) for c in zip(*rows)) if rows else [[]] * 5
-    ids = list(map(applicant_id, last, first))
-    return ApplicationTable.from_rows(ids, last, first, groups, group, ind, qualified)
+    return ApplicationTable.from_rows(last, first, groups, group, ind, qualified)
 
 
 @given(application_tables())

@@ -153,7 +153,7 @@ def test_the_numpy_columns_are_views_of_the_parsers_buffers():
 GROUPS = [(DisciplineId.parse("01/A1"), Role.FULL, IndicatorKind.BIBLIOMETRIC),
           (DisciplineId.parse("10/A1"), Role.ASSOCIATE, IndicatorKind.NON_BIBLIOMETRIC),
           (DisciplineId.parse("13/A5"), Role.FULL, IndicatorKind.NON_BIBLIOMETRIC)]
-NAMES = (["a|X", "b|X", "c|X"], ["a", "b", "c"], ["X"] * 3)
+NAMES = (["a", "b", "c"], ["X"] * 3)
 GROUP = [2, 0, 2]
 VALUES = [11.0, 15.0, 6.0, 0.5, -0.0, 2.0, 5e-324, 3.0, 1e300]
 QUALIFIED = [True, False, True]

@@ -98,6 +98,15 @@ def test_a_config_that_is_not_utf8_names_its_file(tmp_path, capsys):
     assert "can't decode byte 0xff" in err
 
 
+def test_a_config_nested_past_the_recursion_limit_exits_1_naming_its_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "round")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed synth config: "), err
+    assert not (tmp_path / "round").exists()
+
+
 FAMILIES = {
     "lognormal": st.tuples(st.floats(-3, 3), st.floats(0.01, 2)),
     "gamma": st.tuples(st.floats(0.01, 10), st.floats(0.01, 10)),
