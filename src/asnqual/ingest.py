@@ -20,7 +20,7 @@ import re
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -108,16 +108,19 @@ class Diagnostic:
     ``kind``, ``number``, ``boolean``, ``name``, ``value`` (an indicator or
     a median that is negative or not finite) or ``registry`` (an entry that
     breaks the area rules).  The warning on a zero bibliometric median has
-    the code ``zero-median``.
+    the code ``zero-median``.  ``source`` names the file of the row; load_round
+    fills it in, and the diagnostics of a parsed stream keep it empty.
     """
 
     line: int
     message: str
     severity: str = "error"
     code: str = ""
+    source: str = ""
 
     def __str__(self) -> str:
-        return f"line {self.line}: {self.severity}: {self.message}"
+        prefix = f"{self.source}: " if self.source else ""
+        return f"{prefix}line {self.line}: {self.severity}: {self.message}"
 
 
 class _RowDamage(ValueError):
@@ -438,14 +441,14 @@ def applicant_id(last: str, first: str) -> str:
 
 def split_applicant_id(identity: str) -> tuple[str, str]:
     """The (last, first) names of an `applicant_id`, its exact inverse; a ValueError if it is none."""
-    if "\\" not in identity:  # nothing is escaped, so the one | splits it
+    if "\\" not in identity and identity.count("|") == 1:  # nothing is escaped, so the one | splits it
         last, first = identity.split("|")
         return last, first
-    # two runs of escapes and other characters, split by a bare |
-    match = re.fullmatch(r"((?:[^\\|]|\\.)*)\|((?:[^\\|]|\\.)*)", identity, re.DOTALL)
+    # two runs of escapes (\\ or \|) and other characters, split by a bare |
+    match = re.fullmatch(r"((?:[^\\|]|\\[\\|])*)\|((?:[^\\|]|\\[\\|])*)", identity)
     if match is None:
         raise ValueError(f"not an applicant id: {identity!r}")
-    return tuple(re.sub(r"\\(.)", r"\1", name, flags=re.DOTALL) for name in match.groups())
+    return tuple(re.sub(r"\\(.)", r"\1", name) for name in match.groups())
 
 
 def load_default_registry() -> list[DisciplineRegistryEntry]:
@@ -667,16 +670,19 @@ def load_round(
     medians_path: str | Path,
     registry_path: str | Path | None = None,
 ) -> tuple[RoundDataset, list[Diagnostic]]:
-    """Parse a full round from disk, pooling all row diagnostics."""
+    """Parse a full round from disk, pooling the row diagnostics of its two files, each naming
+    its file.  A damaged row of a given registry is a hard error, as in the bundled registry."""
     if registry_path is None:
         registry = load_default_registry()
-        registry_diags: list[Diagnostic] = []
     else:
-        registry, registry_diags = parse_registry(registry_path)
+        registry, damaged = parse_registry(registry_path)
+        if damaged:
+            raise ValueError(f"{registry_path}: line {damaged[0].line}: {damaged[0].message}")
     applications, app_diags = parse_applications(applications_path, registry)
     medians, median_diags = parse_medians(medians_path)
-    dataset = RoundDataset(applications, medians, registry)
-    return dataset, registry_diags + app_diags + median_diags
+    diagnostics = [replace(d, source=str(path)) for path, diags in
+                   ((applications_path, app_diags), (medians_path, median_diags)) for d in diags]
+    return RoundDataset(applications, medians, registry), diagnostics
 
 
 # Rows per block of a CSV file or of a report.json table: each block is
@@ -684,17 +690,11 @@ def load_round(
 BLOCK_ROWS = 1024
 
 
-def number_cells(values: Sequence[float], nan: str = "nan", below: float = math.inf) -> list[str]:
-    """Cells of a float column: NaN as `nan`, integral values under `below` as integers, else repr."""
-    import numpy as np
-
-    values = np.asarray(values, dtype=float)
-    integral = (np.abs(values) < below) & (np.trunc(values) == values)
-    cells = np.empty(len(values), dtype=object)
-    cells[integral] = np.array(list(map(str, map(int, values[integral].tolist()))), dtype=object)
-    cells[~integral] = np.array(list(map(float.__repr__, values[~integral].tolist())), dtype=object)
-    cells[np.isnan(values)] = nan
-    return cells.tolist()
+def number_cells(values: Iterable[float], nan: str = "nan", below: float = math.inf) -> list[str]:
+    """Cells of Python floats: NaN as `nan`, integral values under `below` as integers, else repr.
+    Not array scalars, whose repr names their type, nor ints (no is_integer before 3.12): list arrays."""
+    return [(str(int(v)) if abs(v) < below else repr(v)) if v.is_integer() else nan if v != v else repr(v)
+            for v in values]
 
 
 def _plain(cells: Sequence[str]) -> bool:
@@ -746,35 +746,23 @@ def write_csv(
             writer.writerows(zip(*cells))
 
 
-def write_applications(
-    applications: ApplicationTable | Iterable[ApplicationRecord], target: str | Path | IO[str]
-) -> None:
+def write_applications(table: ApplicationTable, target: str | Path | IO[str]) -> None:
     """The applications as CSV, each block of rows formatted column by column."""
-    import numpy as np
-
-    table = applications
-    if not isinstance(table, ApplicationTable):
-        table = ApplicationTable.from_records(table)
-    labels = np.array(
-        [(d.code, d.sub_discipline or "", str(r.value)) for d, r, _ in table.groups], dtype=object
-    ).reshape(-1, 3)
-    flag_cells = np.array(["false", "true"], dtype=object)
+    labels = [(d.code, d.sub_discipline or "", str(r.value)) for d, r, _ in table.groups]
     write_csv(target, APPLICATION_COLUMNS, len(table), lambda rows: [
-        *zip(*map(split_applicant_id, table.ids[rows])), *labels[table.group[rows]].T.tolist(),
-        *map(number_cells, table.ind[rows].T),
-        flag_cells[table.qualified[rows].view(np.int8)].tolist(),
+        *zip(*map(split_applicant_id, table.ids[rows])),
+        *zip(*map(labels.__getitem__, table.group[rows].tolist())),
+        *map(number_cells, table.ind[rows].T.tolist()),
+        [("false", "true")[q] for q in table.qualified[rows].tolist()],
     ])
 
 
 def write_medians(sets: Iterable[MedianSet], target: str | Path | IO[str]) -> None:
-    import numpy as np
-
     sets = list(sets)
     labels = [(m.discipline.code, m.discipline.sub_discipline or "", str(m.role.value),
                _KIND_TO_CODE[m.kind]) for m in sets]
-    values = np.array([m.as_tuple() for m in sets], dtype=float).reshape(-1, 3)
     write_csv(target, MEDIAN_COLUMNS, len(sets), lambda rows: [
-        *zip(*labels[rows]), *map(number_cells, values[rows].T)
+        *zip(*labels[rows]), *map(number_cells, zip(*(m.as_tuple() for m in sets[rows])))
     ])
 
 

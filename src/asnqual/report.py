@@ -564,9 +564,7 @@ _JSON_LABELS = {member: encode_basestring_ascii(label) for member, label in _LAB
 def _json_floats(values: Sequence[float]) -> list[str]:
     """JSON tokens of floats: repr, with NaN as null and infinities as +-Infinity."""
     tokens = list(map(float.__repr__, values))
-    for i in np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float))).tolist():
-        tokens[i] = _JSON_FLOATS[tokens[i]]
-    return tokens
+    return list(map(_JSON_FLOATS.get, tokens, tokens))
 
 
 # The (CSV, JSON) column rule of each value type.  JSON writes a value as json.dumps

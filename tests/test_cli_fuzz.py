@@ -207,6 +207,43 @@ def test_line_break_in_a_sub_discipline_is_row_damage(tmp_path, capsys, name, ro
         assert len(list(csv.reader(handle))) == len(APPLICATIONS)
 
 
+def test_row_damage_names_its_file(tmp_path, capsys):
+    # a role-3 row on line 2 of both files, before the round's own rows
+    damaged = {"applications.csv": ["Ferri", "Ugo", "01/A1", "", "3", "1", "1", "1", "true"],
+               "medians.csv": ["01/A1", "", "3", "B", "1", "1", "1"]}
+    for name, table in (("applications.csv", APPLICATIONS), ("medians.csv", MEDIANS)):
+        rows = [table[0], damaged[name], *table[1:]]
+        (tmp_path / name).write_text(csv_text(rows), encoding="utf-8", newline="")
+    args = ["--applications", str(tmp_path / "applications.csv"),
+            "--medians", str(tmp_path / "medians.csv")]
+    messages = [f"{tmp_path / name}: line 2: error: unknown role '3', expected 1 or 2" for name in damaged]
+    assert main(["validate", *args]) == 1
+    assert capsys.readouterr().out.splitlines() == [*messages, "2 error(s), 0 warning(s)"]
+    assert main(["analyze", *args, "--out", str(tmp_path / "report")]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"note: {message}" for message in messages]
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ([["01/A1", "PHY", "B"], ["13/A5", "ECS", "NB"]], 2,
+     "area acronym 'PHY' does not match 'MCS' for area 01"),
+    ([["01/A1", "MCS", "B"], ["13/A5", "ECS", "NB"], ["02/A1", "MCS", "B"]], 4,
+     "area acronym 'MCS' does not match 'PHY' for area 02"),
+], ids=["used by the round", "unused"])
+def test_a_damaged_registry_row_exits_1_naming_the_file(tmp_path, capsys, rows, line, message):
+    registry = [["discipline", "area_acronym", "kind"], *rows]
+    for name, table in (("applications.csv", APPLICATIONS), ("medians.csv", MEDIANS),
+                        ("registry.csv", registry)):
+        (tmp_path / name).write_text(csv_text(table), encoding="utf-8", newline="")
+    args = ["--applications", str(tmp_path / "applications.csv"),
+            "--medians", str(tmp_path / "medians.csv"), "--registry", str(tmp_path / "registry.csv")]
+    expected = f"error: {tmp_path / 'registry.csv'}: line {line}: {message}\n"
+    assert main(["validate", *args]) == 1
+    assert capsys.readouterr() == ("", expected)
+    assert main(["analyze", *args, "--out", str(tmp_path / "report")]) == 1
+    assert capsys.readouterr() == ("", expected)
+    assert not (tmp_path / "report").exists()
+
+
 PLANS = [
     {
         "discipline": "01/A1", "n_full": 3, "n_associate": 4, "professors": 11,

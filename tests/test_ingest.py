@@ -16,6 +16,7 @@ from asnqual.ingest import (
     BIBLIOMETRIC_EXCEPTIONS,
     NON_BIBLIOMETRIC_EXCEPTIONS,
     ApplicationTable,
+    Diagnostic,
     DisciplineRegistryEntry,
     RoundDataset,
     applicant_id,
@@ -25,6 +26,7 @@ from asnqual.ingest import (
     parse_applications,
     parse_medians,
     parse_registry,
+    split_applicant_id,
     write_applications,
     write_medians,
     write_registry,
@@ -655,3 +657,24 @@ class TestSynth:
     def test_duplicate_plans_are_an_error(self):
         with pytest.raises(ValueError, match="duplicate"):
             SynthConfig((tiny_plan(), tiny_plan()))
+
+
+@pytest.mark.parametrize("row, message, code", [
+    ("01/A1,PHY,B", "area acronym 'PHY' does not match 'MCS' for area 01", "registry"),
+    ("01/A1,MCS,NB", "01/A1 must be bibliometric, got non-bibliometric", "registry"),
+    ("01/A1,MCS,X", "unknown kind 'X', expected B or NB", "kind"),
+], ids=["acronym", "kind", "kind code"])
+def test_a_damaged_registry_row_is_skipped_with_its_line(row, message, code):
+    entries, diagnostics = parse_registry(io.StringIO(f"discipline,area_acronym,kind\n13/A5,ECS,NB\n{row}\n"))
+    assert [entry.discipline.code for entry in entries] == ["13/A5"]
+    assert diagnostics == [Diagnostic(3, message, code=code)]
+    assert str(diagnostics[0]) == f"line 3: error: {message}"
+
+
+@pytest.mark.parametrize("identity", ["abc", "a|b|c", "", "a\\|b", "a|b\\", "a\\|b|c\\", "a\\b|c"],
+                         ids=["no bar", "two bars", "empty", "escaped bar", "lone backslash",
+                              "escapes and two bars", "escaped letter"])
+def test_split_applicant_id_rejects_a_string_that_is_no_id(identity):
+    # the first three take the path for ids without a backslash, the others the regex
+    with pytest.raises(ValueError, match=re.escape(f"not an applicant id: {identity!r}")):
+        split_applicant_id(identity)
