@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -69,6 +70,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     dataset, diagnostics = _cli.load_round(args.applications, args.medians, args.registry)
     for diag in diagnostics:
         print(f"note: {diag}", file=sys.stderr)
+    # one total per file that lost rows: the report is made from the rows kept
+    kept = {str(args.applications): len(dataset.applications), str(args.medians): len(dataset.medians)}
+    skipped: dict[str, Counter] = {}
+    for diag in diagnostics:
+        if diag.severity == "error":
+            skipped.setdefault(diag.source, Counter())[diag.code] += 1
+    for source, codes in skipped.items():
+        total = sum(codes.values())
+        by_code = ", ".join(f"{code} {n}" for code, n in codes.items())
+        print(f"note: {source}: skipped {total} of {kept[source] + total} rows ({by_code})", file=sys.stderr)
     try:
         report = _cli.analyze_round(dataset, hist_bin_width=args.bin_width)
     except _cli.InvalidDatasetError as exc:

@@ -13,10 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import marshal
 import math
 import operator
 import os
 import re
+import stat
+import threading
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
@@ -490,14 +493,28 @@ def parse_applications(
 ) -> tuple[ApplicationTable, list[Diagnostic]]:
     """Application rows as an ApplicationTable; indicator kind comes from the registry.
 
-    One csv.reader pass; each distinct discipline, sub-discipline and role is
-    parsed once.  Malformed rows are skipped with a line-numbered diagnostic.
-    Duplicate (name, discipline, role) rows and disciplines the registry does
-    not know are hard errors.
+    Malformed rows are skipped with a line-numbered diagnostic.  Duplicate
+    (name, discipline, role) rows and disciplines the registry does not know
+    are hard errors.  A regular file is first read by the block path
+    (_parse_blocks), which reads a clean file exactly and declines any other;
+    a declined file and a stream go through the row loop (_parse_rows).
     """
     if registry is None:
         registry = load_default_registry()
     kinds = {entry.discipline.code: entry.kind for entry in registry}
+    if isinstance(source, (str, Path)):
+        table = _parse_blocks(source, kinds)
+        if table is not None:
+            return table, []
+    return _parse_rows(source, kinds)
+
+
+def _parse_rows(
+    source: str | Path | IO[str], kinds: dict[str, IndicatorKind]
+) -> tuple[ApplicationTable, list[Diagnostic]]:
+    """The row loop: one csv.reader pass; each distinct discipline, sub-discipline and
+    role is parsed once.  It reads every input, and names the line of each diagnostic
+    and hard error."""
     # (code, sub-discipline, role) as written -> group id.  A group is a
     # (discipline, role, kind); kind is None for a discipline the registry lacks,
     # and the first row of such a group that passes the row checks is a hard error.
@@ -559,6 +576,255 @@ def parse_applications(
         flags.append(qualified)
     # _check_names has checked every name, so the table is built without from_rows' check
     return _table(ids, groups, group, values, flags), diagnostics
+
+
+# The most bytes of a file that the block path reads at once; each read is cut
+# at its last line break.
+_CHUNK_BYTES = 1 << 16
+
+
+class _Decline(Exception):
+    """An input that the block path cannot read exactly; the row loop reads it."""
+
+
+def _parse_blocks(path: str | Path, kinds: dict[str, IndicatorKind]) -> ApplicationTable | None:
+    """The table of a regular file with no damaged row, read in blocks of columns; None
+    for any other file, which the row loop then reads from the start.
+
+    The file is cut at the first line break past its midpoint, and a forked
+    child parses the second half while this process parses the first, when
+    the process may fork (_forkable).  Otherwise this process parses the whole
+    file.  A FIFO or other special file is never opened here, since a second
+    read would not see its data.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb") as handle:
+            blocks = _Blocks(handle, kinds)
+            start, end = handle.tell(), os.fstat(handle.fileno()).st_size
+            cut = end
+            if _forkable():
+                handle.seek(max(start, end // 2))
+                if handle.readline(blocks.limit + 1).endswith(b"\n"):
+                    cut = handle.tell()
+            if cut < end:
+                return _parse_halves(path, handle, blocks, start, cut, end)
+            return blocks.read(handle, start, end).table()
+    except (_Decline, OSError):
+        return None
+
+
+def _forkable() -> bool:
+    """Whether a child may parse half a file: os.fork exists, no other thread runs
+    (fork copies only the calling thread), and the process may use two CPUs."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2
+
+
+def _parse_halves(path: str | Path, handle: IO[bytes], blocks: _Blocks,
+                  start: int, cut: int, end: int) -> ApplicationTable:
+    """Rows [start, cut) parsed here and [cut, end) in a forked child, then merged.
+
+    The child opens the file anew, so as not to move this process's offset,
+    and sends its columns through a pipe as one marshal payload, or an empty
+    one if it failed.  It ends in os._exit, so it never returns into the
+    caller's code or flushes the caller's stdio buffers.  The child is reaped
+    before this returns or raises.
+    """
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:
+        try:
+            os.close(reader)
+            payload = b""
+            with suppress(Exception), open(path, "rb") as own:
+                payload = blocks.read(own, cut, end).payload()
+            with open(writer, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(writer)
+    try:
+        with open(reader, "rb") as pipe:
+            try:
+                blocks.read(handle, start, cut)
+            except BaseException:
+                import signal  # loaded only when a split parse stops early
+
+                os.kill(pid, signal.SIGKILL)
+                raise
+            payload = pipe.read()
+            columns = marshal.loads(payload) if payload else None
+            del payload  # freed before the merge grows the columns
+    finally:
+        os.waitpid(pid, 0)
+    if columns is None:
+        raise _Decline
+    return blocks.merge(columns)
+
+
+class _Blocks:
+    """The columns of a file's rows, parsed 1,024 lines at a time with one split per
+    block; it raises _Decline at anything the row loop would not read as a clean row.
+
+    A clean row has as many commas as the header and no quote, carriage
+    return or NUL; its names are not blank, its discipline and role parse,
+    its discipline is in the registry, its three indicators are finite and
+    not negative, its flag is exactly ``true`` or ``false``, and its
+    applicant is not already in its group.  Its line holds at most
+    csv.field_size_limit() characters.  On such rows the columns are those
+    the row loop makes, with groups numbered in order of first appearance.
+    """
+
+    def __init__(self, handle: IO[bytes], kinds: dict[str, IndicatorKind]) -> None:
+        """Reads the header line of `handle`, leaving it at the first row."""
+        self.kinds = kinds
+        self.limit = csv.field_size_limit()
+        line = handle.readline(self.limit + 1)
+        try:
+            header = line.decode("utf-8-sig").removesuffix("\n")
+        except UnicodeDecodeError:
+            raise _Decline from None
+        position = {name: i for i, name in enumerate(header.split(","))}
+        if len(line) > self.limit or any(c in header for c in '"\r\0') or not all(
+            c in position for c in APPLICATION_COLUMNS
+        ):
+            raise _Decline
+        self.commas = header.count(",")
+        self.picks = [position[c] for c in APPLICATION_COLUMNS]
+        # The same group bookkeeping as the row loop's.
+        self.group_ids: dict[tuple[str, str, str], int] = {}
+        self.group_of: dict[tuple[DisciplineId, Role], int] = {}
+        self.groups: list[tuple[DisciplineId, Role, IndicatorKind]] = []
+        self.keys: list[tuple[str, str, str]] = []  # the first raw key of each group
+        self.seen: list[set[str]] = []
+        self.ids: list[str] = []
+        self.group = array("i")
+        self.values = array("d")
+        self.flags = bytearray()
+
+    def read(self, handle: IO[bytes], start: int, end: int) -> _Blocks:
+        """Parse the rows in bytes [start, end) of the file, which end at a line break or
+        at the end of the file, reading at most _CHUNK_BYTES and one line at once."""
+        handle.seek(start)
+        partial = b""  # the start of a line that the last read cut
+        while start < end:
+            data = handle.read(min(_CHUNK_BYTES, end - start))
+            if not data:
+                raise _Decline  # the file shrank while it was read
+            start += len(data)
+            data = partial + data
+            whole = len(data) if start == end else data.rfind(b"\n") + 1
+            partial = data[whole:]
+            if len(partial) > self.limit:
+                raise _Decline
+            self._lines(data[:whole])
+        return self
+
+    def _lines(self, data: bytes) -> None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _Decline from None
+        if '"' in text or "\r" in text or "\0" in text:
+            raise _Decline
+        lines = text.split("\n")
+        if len(text) > self.limit and max(map(len, lines)) > self.limit:
+            raise _Decline
+        for lo in range(0, len(lines), BLOCK_ROWS):
+            self._block(list(filter(None, lines[lo:lo + BLOCK_ROWS])))  # blank lines are skipped
+
+    def _block(self, lines: list[str]) -> None:
+        if not lines:
+            return
+        if set(map(str.count, lines, itertools.repeat(","))) != {self.commas}:
+            raise _Decline
+        text = ",".join(lines)
+        fields = text.split(",")
+        width = self.commas + 1
+        last, first, code, sub, role, raw1, raw2, raw3, flag = (fields[p::width] for p in self.picks)
+        last, first = list(map(str.strip, last)), list(map(str.strip, first))
+        if "" in last or "" in first:
+            raise _Decline
+        if "|" in text or "\\" in text:
+            ids = list(map(applicant_id, last, first))
+        else:
+            ids = list(map("|".join, zip(last, first)))
+        raw = [""] * (3 * len(lines))
+        raw[0::3], raw[1::3], raw[2::3] = raw1, raw2, raw3
+        try:
+            values = list(map(float, raw))
+            flags = bytes(map(_FLAGS.__getitem__, flag))
+        except (ValueError, KeyError):
+            raise _Decline from None
+        # a NaN, an infinity or an overflow makes the sum NaN or infinite
+        if min(values) < 0 or not sum(values) < math.inf:
+            raise _Decline
+        # one group id and one duplicate check per run of rows with the same raw key
+        lo = 0
+        for key, run in itertools.groupby(zip(code, sub, role)):
+            hi = lo + len(list(run))
+            gid = self._gid(key)
+            seen = self.seen[gid]
+            size = len(seen)
+            seen.update(ids[lo:hi])
+            if len(seen) != size + hi - lo:
+                raise _Decline  # a duplicate application
+            self.group.fromlist([gid] * (hi - lo))
+            lo = hi
+        self.ids += ids
+        self.values.fromlist(values)
+        self.flags += flags
+
+    def _gid(self, key: tuple[str, str, str]) -> int:
+        """The group id of a raw (discipline, sub-discipline, role), added when new."""
+        gid = self.group_ids.get(key)
+        if gid is None:
+            code, sub, role = key
+            try:
+                parsed = (_parse_discipline(code, sub), _parse_role(role))
+            except _RowDamage:
+                raise _Decline from None
+            gid = self.group_ids[key] = self.group_of.setdefault(parsed, len(self.groups))
+            if gid == len(self.groups):
+                kind = self.kinds.get(parsed[0].code)
+                if kind is None:
+                    raise _Decline
+                self.groups.append((*parsed, kind))
+                self.keys.append(key)
+                self.seen.append(set())
+        return gid
+
+    def payload(self) -> bytes:
+        """The columns, as a child sends them: ids, the raw key of each group, the three
+        buffers as bytes, and the ids of each group, for the duplicate check across halves."""
+        return marshal.dumps((self.ids, self.keys, self.group.tobytes(), self.values.tobytes(),
+                              bytes(self.flags), [list(seen) for seen in self.seen]))
+
+    def merge(self, columns: tuple) -> ApplicationTable:
+        """The table of these rows followed by those of a child's loaded payload."""
+        ids, keys, group, values, flags, their_seen = columns
+        # the child's groups, renumbered: ours first, then its new ones in its order
+        renumber = list(map(self._gid, keys))
+        for gid, theirs in zip(renumber, their_seen):
+            if not self.seen[gid].isdisjoint(theirs):
+                raise _Decline  # a duplicate across the halves
+        self.ids += ids
+        self.group.extend(map(renumber.__getitem__, array("i", group)))
+        self.values.frombytes(values)
+        self.flags += flags
+        return self.table()
+
+    def table(self) -> ApplicationTable:
+        return _table(self.ids, self.groups, self.group, self.values, self.flags)
 
 
 def parse_medians(

@@ -220,7 +220,27 @@ def test_row_damage_names_its_file(tmp_path, capsys):
     assert main(["validate", *args]) == 1
     assert capsys.readouterr().out.splitlines() == [*messages, "2 error(s), 0 warning(s)"]
     assert main(["analyze", *args, "--out", str(tmp_path / "report")]) == 0
-    assert capsys.readouterr().err.splitlines() == [f"note: {message}" for message in messages]
+    # each file's rows below its header, and the damaged one
+    assert capsys.readouterr().err.splitlines() == [f"note: {message}" for message in messages] + [
+        f"note: {tmp_path / 'applications.csv'}: skipped 1 of {len(APPLICATIONS)} rows (role 1)",
+        f"note: {tmp_path / 'medians.csv'}: skipped 1 of {len(MEDIANS)} rows (role 1)",
+    ]
+
+
+def test_analyze_totals_the_rows_it_skipped_by_code(tmp_path, capsys):
+    # two bad numbers and a bad role in the applications; the medians lose nothing
+    damaged = [["Ferri", "Ugo", "01/A1", "", "1", "n/a", "1", "1", "true"],
+               ["Moro", "Ivo", "01/A1", "", "3", "1", "1", "1", "true"],
+               ["Riva", "Lia", "13/A5", "", "2", "1", "", "1", "false"]]
+    (tmp_path / "applications.csv").write_text(csv_text([*APPLICATIONS, *damaged]), encoding="utf-8")
+    (tmp_path / "medians.csv").write_text(csv_text(MEDIANS), encoding="utf-8")
+    args = ["--applications", str(tmp_path / "applications.csv"),
+            "--medians", str(tmp_path / "medians.csv"), "--out", str(tmp_path / "report")]
+    assert main(["analyze", *args]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("note: ") for line in err)
+    assert err[-1] == (f"note: {tmp_path / 'applications.csv'}: "
+                       f"skipped 3 of {len(APPLICATIONS) - 1 + 3} rows (number 2, role 1)")
 
 
 @pytest.mark.parametrize("rows, line, message", [

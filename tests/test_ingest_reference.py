@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asnqual import ingest
 from asnqual.indicators import IndicatorKind
 from asnqual.ingest import (
     ApplicationTable,
@@ -216,3 +217,180 @@ ID_NAMES = st.text(alphabet=st.sampled_from('|\\ab\r\n,"'), max_size=6)
 @given(ID_NAMES, ID_NAMES)
 def test_the_names_are_read_back_from_their_id(split, last, first):
     assert split(applicant_id(last, first)) == (last, first)
+
+
+# The block path and the split.  Each round below has at least three 1,024-line
+# blocks, so each half of a split file holds two.  A clean round is read by the
+# block path and any other by the row loop; either way the outcome must be the
+# reference's, whether the file is read in two processes or in one.
+ROUND_ROWS = 2100
+
+
+def cut_of(data):
+    """Where the split cuts a file: after the first line break past its midpoint."""
+    return data.index(b"\n", len(data) // 2) + 1
+
+
+def round_lines(rows=ROUND_ROWS):
+    return [csv_text(APPLICATIONS[:1]), *padding(rows).splitlines(keepends=True)]
+
+
+def with_line(line, where):
+    """A round with `line` in its first half, its second half, or first after the cut."""
+    lines = round_lines(ROUND_ROWS + len(line) // 16)  # a long line still fits in a half
+    if where != "after the cut":
+        lines.insert(len(lines) // 4 if where == "first half" else 3 * len(lines) // 4, line)
+        return "".join(lines).encode()
+    middle, end = (len("".join(lines)) + len(line)) // 2, 0
+    at = next(at for at, text in enumerate(lines, 1) if (end := end + len(text)) > middle)
+    data = "".join(lines[:at] + [line] + lines[at:]).encode()
+    assert data[cut_of(data):].startswith(line.encode())
+    return data
+
+
+@pytest.fixture(params=["split", "one process"])
+def split(request, monkeypatch):
+    monkeypatch.setattr(ingest, "_forkable", lambda: request.param == "split")
+    return request.param
+
+
+def where_and_split(*wheres):
+    """The places of a line in a split file, and the first of them in a file that one
+    process reads, where the place makes no difference."""
+    return pytest.mark.parametrize("where, forkable", [*((w, True) for w in wheres), (wheres[0], False)],
+                                   ids=[*wheres, "one process"])
+
+
+def assert_parsed_as_the_reference(path):
+    expected = outcome(reference_parse_applications, path)
+    assert outcome(parse_applications, path) == expected
+    if expected[0] == "parsed":  # the row loop's table, group order and buffers too
+        table, _ = parse_applications(path, REGISTRY)
+        rows, _ = ingest._parse_rows(path, {e.discipline.code: e.kind for e in REGISTRY})
+        assert (table.ids, table.groups) == (rows.ids, rows.groups)
+        assert [bytes(b) for b in (table.group_buffer, table.ind_buffer, table.qualified_buffer)] == [
+            bytes(b) for b in (rows.group_buffer, rows.ind_buffer, rows.qualified_buffer)]
+    return expected
+
+
+def row(last="Rossi", first="Maria", discipline="01/A1", sub="", role="1", ind=("1", "2", "3"),
+        qualified="true", end="\n"):
+    return ",".join([last, first, discipline, sub, role, *ind, qualified]) + end
+
+
+# Each damage of damaged_csv as one line, and the lines that csv reads as a clean
+# row but the block path declines.
+LINES = {
+    "huge number": row(ind=("1e400", "2", "3")),
+    "nan": row(ind=("1", "nan", "3")),
+    "negative": row(ind=("1", "2", "-1")),
+    "sum past the largest float": row(ind=("1.7e308", "1.7e308", "1")),
+    "400 digits": row(ind=("1" * 400, "2", "3")),
+    "unparseable number": row(ind=("x", "2", "3")),
+    "missing number": row(ind=("1", "", "3")),
+    "role 3": row(role="3"),
+    "malformed discipline": row(discipline="1/A1"),
+    "discipline not in the registry": row(discipline="01/A9"),
+    "discipline with no median set": row(discipline="01/A2"),
+    "bad flag": row(qualified="yes"),
+    "flag in capitals": row(qualified="TRUE"),
+    "flag with spaces": row(qualified=" true "),
+    "blank name": row(last="  "),
+    "duplicate": row(last="Pad7", first="Ada"),
+    "other role": row(last="Pad7", first="Ada", role="2"),
+    "quoted line break in a name": row(last='"Ro\nssi"'),
+    "carriage return in a name": row(last="Ro\rssi"),
+    "quoted line break in a sub-discipline": row(sub='"x\ny"'),
+    "short row": row()[:-len(",true\n")] + "\n",
+    "long row": row(qualified="true,x"),
+    # the two rows' fields, taken together, are as many as two whole rows hold
+    "long row, then short row": row(qualified="true,Cy") + "Dee,01/A1,,1,1,2,3,true\n",
+    "CRLF line end": row(end="\r\n"),
+    "NUL": row(last="Ro\0ssi"),
+    "quoted field": row(last='"Rossi, Jr"'),
+    "names holding | and \\": row(last="Ro|ssi", first="Ma\\ria"),
+    "line over the csv field limit": row(last="R" * 70_000, first="M" * 70_000),
+    "sub-discipline": row(discipline="13/A5", sub="13/A5-x"),
+}
+
+
+@where_and_split("first half", "second half", "after the cut")
+@pytest.mark.parametrize("name", sorted(LINES))
+def test_a_line_anywhere_in_a_split_round_is_read_as_the_reference(tmp_path, monkeypatch, name, where, forkable):
+    monkeypatch.setattr(ingest, "_forkable", lambda: forkable)
+    path = tmp_path / "applications.csv"
+    path.write_bytes(with_line(LINES[name], where))
+    assert_parsed_as_the_reference(path)
+
+
+def test_padding_makes_a_round_of_three_blocks_per_file_and_two_per_half():
+    data = "".join(round_lines()).encode()
+    assert data.count(b"\n") > 2 * ingest.BLOCK_ROWS
+    assert data[:cut_of(data)].count(b"\n") > ingest.BLOCK_ROWS
+
+
+def write_round(tmp_path, lines):
+    path = tmp_path / "applications.csv"
+    path.write_bytes("".join(lines).encode() if isinstance(lines, list) else lines)
+    return path
+
+
+def test_a_clean_round_is_read_as_the_reference(tmp_path, split):
+    expected = assert_parsed_as_the_reference(write_round(tmp_path, round_lines()))
+    assert expected[0] == "parsed" and len(expected[1]) == ROUND_ROWS and expected[2] == []
+
+
+@pytest.mark.parametrize("copies", [(100, 300), (1600, 1900), (100, 1900)],
+                         ids=["first half", "second half", "straddling the cut"])
+def test_a_duplicate_in_either_half_or_across_the_cut_is_the_hard_error(tmp_path, split, copies):
+    lines = round_lines()
+    lines.insert(copies[1], lines[copies[0]])
+    expected = assert_parsed_as_the_reference(write_round(tmp_path, lines))
+    assert expected[0] == "hard error" and "duplicate application for Pad" in expected[2]
+
+
+def test_groups_across_the_cut_and_first_seen_after_it_are_numbered_as_the_reference(tmp_path, split):
+    def rows(n, start, **fields):
+        return [row(last=f"App{i}", first="Bo", **fields) for i in range(start, start + n)]
+
+    lines = [csv_text(APPLICATIONS[:1]),
+             *rows(900, 0),                           # first half only
+             *rows(600, 0, discipline="13/A5"),       # straddles the cut
+             *rows(300, 0, discipline="01/A2", role="2"),
+             *rows(200, 900),                         # 01/A1 role 1 again, after the cut
+             *rows(100, 0, discipline="08/C1", sub="08/C1-a"),
+             *rows(100, 1100, sub=" ", role=" 1 ")]   # another spelling of 01/A1 role 1
+    path = write_round(tmp_path, lines)
+    data = path.read_bytes()
+    assert b"13/A5" in data[:cut_of(data)] and b"13/A5" in data[cut_of(data):]
+    expected = assert_parsed_as_the_reference(path)
+    assert expected[0] == "parsed" and len(expected[1]) == 2200
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "﻿" + text,
+    lambda text: text + "\n",
+    lambda text: text.replace(",1,1,2,3,true\n", ",1,1,2,3,true\n\n", 5),
+    lambda text: text[:-1],
+    lambda text: text[:-5],
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: "qualified,ind3,ind2,ind1,role,sub_discipline,discipline,first_name,last_name\n" + "\n".join(
+        ",".join(reversed(line.split(","))) for line in text.splitlines()[1:]) + "\n",
+    lambda text: "qualified,ind3,ind2,ind1,role,sub_discipline,discipline,first_name,last_name\n"
+                 + text.split("\n", 1)[1],
+    lambda text: text.replace("last_name", "last_name,note", 1).replace(",true\n", ",true,\n"),
+], ids=["BOM", "trailing blank line", "blank lines", "no final line break", "truncated row",
+        "CRLF line ends", "reordered header", "header alone reordered", "unused column"])
+def test_whole_file_shapes_are_read_as_the_reference(tmp_path, split, edit):
+    text = "".join(round_lines()).replace("Pad", "Pad ", 1)
+    assert_parsed_as_the_reference(write_round(tmp_path, [edit(text)]))
+
+
+def test_a_bad_byte_after_the_cut_wins_over_a_hard_error_before_it(tmp_path, split):
+    lines = round_lines()
+    lines.insert(300, row(discipline="01/A9"))
+    data = "".join(lines).encode()
+    cut = cut_of(data)
+    path = write_round(tmp_path, data[:cut + 40] + b"\xff" + data[cut + 40:])
+    expected = assert_parsed_as_the_reference(path)
+    assert expected[0] == "hard error" and "not UTF-8 text" in expected[2]

@@ -1,0 +1,143 @@
+"""The two-process parse of a regular file leaves no process behind.
+
+parse_applications reads a clean regular file through the block path, the
+second half of it in a forked child when the process may fork.  Whether it
+returns, falls back to the row loop or raises a hard error, the child is
+reaped before it does.  A FIFO is never opened by the block path, and the
+command-line `validate` forks without a DeprecationWarning, which Python
+3.12 gives for a fork in a process that runs threads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from asnqual import ingest
+from asnqual.ingest import load_default_registry, parse_applications
+from test_ingest_reference import round_lines, row
+
+ROOT = Path(__file__).resolve().parent.parent
+REGISTRY = load_default_registry()
+MEDIANS = "discipline,sub_discipline,role,kind,m1,m2,m3\n01/A1,,1,B,1,2,3\n"
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children the test forks, with the split allowed on any host."""
+    monkeypatch.setattr(ingest, "_forkable", lambda: True)
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        pids.append(pid)  # in the child, to its own copy of the list
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def write_round(tmp_path, line=None, at=0):
+    lines = round_lines()
+    if line is not None:
+        lines.insert(at, line)
+    path = tmp_path / "applications.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def assert_one_child_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):  # reaped, so no longer a child to wait for
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("line, at", [(None, 0), (row(last='"Rossi, Jr"'), 300),
+                                      (row(last='"Rossi, Jr"'), 1900)],
+                         ids=["returns", "falls back from the first half", "falls back from the second half"])
+def test_no_child_outlives_a_parse(tmp_path, forks, line, at):
+    table, diagnostics = parse_applications(write_round(tmp_path, line, at), REGISTRY)
+    assert len(table) == 2100 + (line is not None) and diagnostics == []
+    assert_one_child_reaped(forks)
+
+
+def test_no_child_outlives_a_hard_error(tmp_path, forks):
+    lines = round_lines()
+    lines.insert(1900, lines[100])  # file line 1901, a duplicate across the halves
+    path = tmp_path / "applications.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1901: duplicate application for Pad99"):
+        parse_applications(path, REGISTRY)
+    assert_one_child_reaped(forks)
+
+
+@pytest.mark.parametrize("forkable", [True, False], ids=["split", "one process"])
+def test_a_clean_round_is_read_by_the_block_path(tmp_path, monkeypatch, forkable):
+    monkeypatch.setattr(ingest, "_forkable", lambda: forkable)
+    monkeypatch.setattr(ingest, "_parse_rows", lambda *args: pytest.fail("read by the row loop"))
+    table, diagnostics = parse_applications(write_round(tmp_path), REGISTRY)
+    assert (len(table), len(table.groups), diagnostics) == (2100, 1, [])
+    assert table[-1].applicant_id == "Pad2099|Ada"
+
+
+def round_files(tmp_path):
+    write_round(tmp_path)
+    (tmp_path / "medians.csv").write_text(MEDIANS, encoding="utf-8")
+    return tmp_path / "applications.csv", tmp_path / "medians.csv"
+
+
+def test_validate_reads_a_fifo(tmp_path):
+    applications, medians = round_files(tmp_path)
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    command = [sys.executable, "-m", "asnqual.cli", "validate", "--applications", str(fifo),
+               "--medians", str(medians)]
+    done = subprocess.Popen(command, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while True:  # the write end opens once validate has opened the read end
+            try:
+                fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                break
+            except OSError:
+                assert done.poll() is None and time.monotonic() < deadline, done.communicate()
+                time.sleep(0.01)
+        os.set_blocking(fd, True)
+        with open(fd, "wb") as pipe:
+            pipe.write(applications.read_bytes())
+        out, err = done.communicate(timeout=60)
+    finally:
+        done.kill()  # a validate that opens the FIFO twice waits for a second writer
+        done.wait()
+    assert (done.returncode, out.decode(), err.decode()) == (0, "ok: 2100 applications, 1 median sets\n", "")
+
+
+# Counts the forks of a command run as `python -m asnqual.cli` does, and prints
+# the count as the last line of stderr; the child leaves by os._exit, so only the
+# parent prints.
+DRIVER = """
+import atexit, os, runpy, sys
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+atexit.register(lambda: print(len(forks), file=sys.stderr))
+sys.argv = ["asnqual", *sys.argv[1:]]
+runpy.run_module("asnqual.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_command_line_forks_without_a_deprecation_warning(tmp_path):
+    applications, medians = round_files(tmp_path)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", DRIVER, "validate",
+         "--applications", str(applications), "--medians", str(medians)],
+        env=ENV, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "ok: 2100 applications, 1 median sets\n"), done.stderr
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert json.loads(done.stderr) == (1 if cpus >= 2 and hasattr(os, "fork") else 0)

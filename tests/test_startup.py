@@ -68,6 +68,13 @@ def test_validate_loads_no_numpy(launch):
 
 
 @pytest.mark.parametrize("launch", sorted(LAUNCH))
+def test_validate_loads_no_process_machinery(launch):
+    # the parse forks its one child itself and reads its columns back by marshal
+    modules = loaded_modules(launch, "validate", *ROUND)
+    assert {"pickle", "multiprocessing", "subprocess"} & modules == set()
+
+
+@pytest.mark.parametrize("launch", sorted(LAUNCH))
 def test_synth_and_analyze_load_only_their_modules(launch, tmp_path):
     synth = loaded_modules(launch, "synth", "--out", str(tmp_path / "round"))
     assert {"asnqual.synth", "numpy"} <= synth
