@@ -6,11 +6,14 @@ Exit codes: 0 success, 1 validation errors, 2 I/O errors.
 from __future__ import annotations
 
 import argparse
+import atexit
 import importlib
+import os
 import sys
 from collections import Counter
+from contextlib import suppress
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 # The names the commands call are the package's exports, each imported on its
 # first access as an attribute of this module, so that a command loads only
@@ -80,13 +83,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         total = sum(codes.values())
         by_code = ", ".join(f"{code} {n}" for code, n in codes.items())
         print(f"note: {source}: skipped {total} of {kept[source] + total} rows ({by_code})", file=sys.stderr)
-    try:
-        report = _cli.analyze_round(dataset, hist_bin_width=args.bin_width)
-    except _cli.InvalidDatasetError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    written = _cli.emit(report, args.format, args.out)
+    from .report import ClassifiedWriter
+
+    # the classified table is written in a forked child while the analysis goes on
+    with ClassifiedWriter(args.format) as writer:
+        try:
+            report = _cli.analyze_round(dataset, hist_bin_width=args.bin_width, writer=writer)
+        except _cli.InvalidDatasetError as exc:
+            for problem in exc.problems:
+                print(f"error: {problem}", file=sys.stderr)
+            return 1
+        written = _cli.emit(report, args.format, args.out, writer=writer)
     print(f"wrote {len(written)} file(s) to {args.out}")
     return 0
 
@@ -135,5 +142,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The command line, as `asnqual` and `python -m asnqual.cli` run it.
+
+    BLAS runs one thread unless OPENBLAS_NUM_THREADS says otherwise, so that
+    `analyze` runs one OS thread and may fork (ingest.may_fork).  No output
+    depends on it: the only BLAS products, in stats.spearman_rho, sum
+    multiples of 0.5, which is exact in any order.  After the command the
+    atexit handlers run and stdout and stderr are flushed; os._exit then
+    skips the interpreter's teardown (35-42 ms after a command that loaded
+    numpy).  A failed flush exits 120, as the interpreter's own exit does.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError as exc:
+            code = 120
+            with suppress(OSError):
+                sys.stderr.write(f"error: cannot flush {stream.name}: {exc}\n")
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -581,6 +581,77 @@ def _parse_rows(
 # The most bytes of a file that the block path reads at once; each read is cut
 # at its last line break.
 _CHUNK_BYTES = 1 << 16
+# Rows per block of a parsed file, of a CSV file written or of a report.json
+# table: each block is split or formatted column by column, and is all of a
+# table that is held as text.
+BLOCK_ROWS = 1024
+# The fewest rows that a second process parses or formats.  A fork, a pipe or a
+# temporary file and a reap cost 2-3 ms, about what one process takes for one
+# block of rows, so no split pays below two blocks; the 680-row demo round is
+# read and written in one process.
+FORK_ROWS = 2 * BLOCK_ROWS
+
+
+def _forkable() -> bool:
+    """Whether this process may fork a child that runs Python: os.fork exists, no other
+    thread runs, and the process may use two CPUs.  fork copies only the calling
+    thread; where /proc/self/task lists the OS threads (Linux), each one counts, a
+    BLAS pool's too, and elsewhere the Python threads do."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return threads == 1 and (cpus or 1) >= 2
+
+
+def may_fork(rows: int) -> bool:
+    """Whether work on `rows` rows goes to a ForkedChild: at least FORK_ROWS of them, in
+    a process that may fork."""
+    return rows >= FORK_ROWS and _forkable()
+
+
+class ForkedChild:
+    """A forked child that runs `work` and leaves by os._exit, with status 0 when `work`
+    returns and 1 when it raises.  So it never returns into the caller's code, runs no
+    atexit handler and flushes none of the caller's stdio buffers.
+
+    close(), and leaving a `with` block, kills the child if it is not reaped yet and
+    reaps it: no child outlives its owner.
+    """
+
+    def __init__(self, work: Callable[[], object]) -> None:
+        self.returned = False
+        self.pid: int | None = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                work()
+                status = 0
+            finally:
+                os._exit(status)
+
+    def wait(self) -> bool:
+        """Reaps the child once; whether its work returned."""
+        if self.pid is not None:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid, self.returned = None, status == 0
+        return self.returned
+
+    def close(self) -> None:
+        if self.pid is not None:
+            import signal  # loaded only when a child is stopped early
+
+            os.kill(self.pid, signal.SIGKILL)
+            self.wait()
+
+    def __enter__(self) -> ForkedChild:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 class _Decline(Exception):
@@ -593,9 +664,10 @@ def _parse_blocks(path: str | Path, kinds: dict[str, IndicatorKind]) -> Applicat
 
     The file is cut at the first line break past its midpoint, and a forked
     child parses the second half while this process parses the first, when
-    the process may fork (_forkable).  Otherwise this process parses the whole
-    file.  A FIFO or other special file is never opened here, since a second
-    read would not see its data.
+    work on its rows, estimated from the length of the first, may fork
+    (may_fork).  Otherwise this process parses the whole file.  A FIFO or
+    other special file is never opened here, since a second read would not
+    see its data.
     """
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -604,7 +676,7 @@ def _parse_blocks(path: str | Path, kinds: dict[str, IndicatorKind]) -> Applicat
             blocks = _Blocks(handle, kinds)
             start, end = handle.tell(), os.fstat(handle.fileno()).st_size
             cut = end
-            if _forkable():
+            if may_fork((end - start) // max(1, len(handle.readline(blocks.limit + 1)))):
                 handle.seek(max(start, end // 2))
                 if handle.readline(blocks.limit + 1).endswith(b"\n"):
                     cut = handle.tell()
@@ -615,57 +687,33 @@ def _parse_blocks(path: str | Path, kinds: dict[str, IndicatorKind]) -> Applicat
         return None
 
 
-def _forkable() -> bool:
-    """Whether a child may parse half a file: os.fork exists, no other thread runs
-    (fork copies only the calling thread), and the process may use two CPUs."""
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) >= 2
-
-
 def _parse_halves(path: str | Path, handle: IO[bytes], blocks: _Blocks,
                   start: int, cut: int, end: int) -> ApplicationTable:
-    """Rows [start, cut) parsed here and [cut, end) in a forked child, then merged.
+    """Rows [start, cut) parsed here and [cut, end) in a ForkedChild, then merged.
 
     The child opens the file anew, so as not to move this process's offset,
-    and sends its columns through a pipe as one marshal payload, or an empty
-    one if it failed.  It ends in os._exit, so it never returns into the
-    caller's code or flushes the caller's stdio buffers.  The child is reaped
-    before this returns or raises.
+    and sends its columns through a pipe as one marshal payload.  The child
+    is reaped before this returns or raises, and killed first if this
+    process's half stops early.
     """
-    reader, writer = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(reader)
-        os.close(writer)
-        raise
-    if pid == 0:
-        try:
-            os.close(reader)
-            payload = b""
-            with suppress(Exception), open(path, "rb") as own:
-                payload = blocks.read(own, cut, end).payload()
-            with open(writer, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            os._exit(0)
-    os.close(writer)
-    try:
-        with open(reader, "rb") as pipe:
-            try:
-                blocks.read(handle, start, cut)
-            except BaseException:
-                import signal  # loaded only when a split parse stops early
+    def send() -> None:  # in the child
+        with open(path, "rb") as own:
+            payload = blocks.read(own, cut, end).payload()
+        with open(writer, "wb") as pipe:
+            pipe.write(payload)
 
-                os.kill(pid, signal.SIGKILL)
-                raise
+    reader, writer = os.pipe()
+    with open(reader, "rb") as pipe:
+        try:
+            child = ForkedChild(send)
+        finally:
+            os.close(writer)
+        with child:
+            blocks.read(handle, start, cut)
             payload = pipe.read()
-            columns = marshal.loads(payload) if payload else None
-            del payload  # freed before the merge grows the columns
-    finally:
-        os.waitpid(pid, 0)
+            sent = child.wait()
+        columns = marshal.loads(payload) if sent else None
+        del payload  # freed before the merge grows the columns
     if columns is None:
         raise _Decline
     return blocks.merge(columns)
@@ -949,11 +997,6 @@ def load_round(
     diagnostics = [replace(d, source=str(path)) for path, diags in
                    ((applications_path, app_diags), (medians_path, median_diags)) for d in diags]
     return RoundDataset(applications, medians, registry), diagnostics
-
-
-# Rows per block of a CSV file or of a report.json table: each block is
-# formatted column by column, and is all of a table that is held as text.
-BLOCK_ROWS = 1024
 
 
 def number_cells(values: Iterable[float], nan: str = "nan", below: float = math.inf) -> list[str]:

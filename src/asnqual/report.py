@@ -8,7 +8,9 @@ intervals, median anomaly tables, minimum-qualified-indicator counts,
 and plot-ready figure data.  The analysis runs on the columns of the
 dataset's ApplicationTable.  emit writes the report as a directory of CSV files
 or as a single JSON document, formatting each table column by column; byte
-output is deterministic for a fixed report.
+output is deterministic for a fixed report.  A ClassifiedWriter handed to both
+has the largest table, the classified applications, written in a forked child
+while analyze_round goes on.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import functools
 import itertools
 import math
 import operator
+import os
+import shutil
+import tempfile
 from dataclasses import astuple, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -26,7 +31,16 @@ import numpy as np
 
 from .dominance import pareto_violation_ratio
 from .indicators import IndicatorKind
-from .ingest import AREA_ACRONYMS, BLOCK_ROWS, RoundDataset, number_cells, output_file, write_csv
+from . import ingest
+from .ingest import (
+    AREA_ACRONYMS,
+    BLOCK_ROWS,
+    ForkedChild,
+    RoundDataset,
+    may_fork,
+    number_cells,
+    write_csv,
+)
 from .stats import (
     CorrelationResult,
     FiveNumberSummary,
@@ -345,11 +359,14 @@ def _na_histogram(na_values: Sequence[int], width: float) -> list[HistogramBin]:
     return [HistogramBin(low, high, c) for low, high, c in zip(edges, edges[1:], counts.tolist())]
 
 
-def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundReport:
+def analyze_round(
+    data: RoundDataset, hist_bin_width: float = 50.0, *, writer: ClassifiedWriter | None = None
+) -> RoundReport:
     """Run the full analysis pipeline over a dataset.
 
     Raises InvalidDatasetError, listing every problem, when the dataset
-    does not validate.
+    does not validate.  A `writer` is started on the classified table as
+    soon as its rows are sorted.
     """
     problems = data.validate()
     if problems:
@@ -395,6 +412,8 @@ def analyze_round(data: RoundDataset, hist_bin_width: float = 50.0) -> RoundRepo
         *map(in_order, ind.T), in_order(exceeds),
         EnumColumn(in_order(over.view(np.int8)), _STANDINGS), in_order(qualified),
     ))
+    if writer is not None:
+        writer.start(classified)
 
     # Discipline-level groups (code, role, kind), in code and role order; the
     # positions of each are a slice of one stable argsort, in dataset order.
@@ -604,9 +623,9 @@ _csv_column = functools.partial(_format_column, format=_CSV)
 _json_column = functools.partial(_format_column, format=_JSON)
 
 
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+def _write_csv(target: Path | IO[str], header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """One CSV file, each block of rows formatted column by column."""
-    write_csv(path, header, len(columns[0]), lambda rows: [_csv_column(c[rows]) for c in columns])
+    write_csv(target, header, len(columns[0]), lambda rows: [_csv_column(c[rows]) for c in columns])
 
 
 # The layout of json.dumps(document, indent=2, sort_keys=True): table names at
@@ -619,28 +638,110 @@ def _write_json(handle: IO[str], tables: dict[str, tuple[list[str], list[Sequenc
     """The tables as report.json, one table and one block of rows at a time.
 
     The text is that of json.dumps(document, indent=2, sort_keys=True) + "\n"
-    for document = {name: {"columns": header, "rows": rows}}.
+    for document = {name: {"columns": header, "rows": rows}}.  A table given
+    as a ClassifiedWriter is its text.
     """
     handle.write("{")
     for t, name in enumerate(sorted(tables)):
-        header, columns = tables[name]
-        names = ",\n      ".join(map(encode_basestring_ascii, header))
-        handle.write(
-            f'{"," if t else ""}\n  {encode_basestring_ascii(name)}: {{\n'
-            f'    "columns": [\n      {names}\n    ],\n    "rows": '
-        )
-        n_rows = len(columns[0])
-        if not n_rows:
-            handle.write("[]\n  }")
-            continue
-        handle.write("[\n      [\n        ")
-        for lo in range(0, n_rows, BLOCK_ROWS):
-            block = [_json_column(c[lo:lo + BLOCK_ROWS]) for c in columns]
-            if lo:
-                handle.write(_JSON_ROW_SEP)
-            handle.write(_JSON_ROW_SEP.join(map(_JSON_VALUE_SEP.join, zip(*block))))
-        handle.write("\n      ]\n    ]\n  }")
+        handle.write(f'{"," if t else ""}\n  {encode_basestring_ascii(name)}: ')
+        table = tables[name]
+        if isinstance(table, ClassifiedWriter):
+            table.write(handle)
+        else:
+            _json_table(handle, *table)
     handle.write("\n}\n")
+
+
+def _json_table(handle: IO[str], header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """A table's value in report.json: {"columns": header, "rows": rows}, at its indent."""
+    names = ",\n      ".join(map(encode_basestring_ascii, header))
+    handle.write(f'{{\n    "columns": [\n      {names}\n    ],\n    "rows": ')
+    n_rows = len(columns[0])
+    if not n_rows:
+        handle.write("[]\n  }")
+        return
+    handle.write("[\n      [\n        ")
+    for lo in range(0, n_rows, BLOCK_ROWS):
+        block = [_json_column(c[lo:lo + BLOCK_ROWS]) for c in columns]
+        if lo:
+            handle.write(_JSON_ROW_SEP)
+        handle.write(_JSON_ROW_SEP.join(map(_JSON_VALUE_SEP.join, zip(*block))))
+    handle.write("\n      ]\n    ]\n  }")
+
+
+# The writer of one table's text in each format: a CSV file, or a value in report.json.
+_TABLE_WRITERS = {"csv": _write_csv, "json": _json_table}
+_CLASSIFIED_HEADER = [f.name for f in fields(ClassifiedApplication)]
+
+
+def _checked_format(format: str) -> str:
+    if format not in _TABLE_WRITERS:
+        raise ValueError(f"unknown format {format!r}, expected csv or json")
+    return format
+
+
+class ClassifiedWriter:
+    """The classified applications table, written in a forked child while the analysis
+    goes on; hand it to analyze_round and to emit, within its `with` block.
+
+    analyze_round calls start() once the table's rows are sorted.  For a
+    table of at least FORK_ROWS rows, in a process that may fork
+    (ingest.may_fork), a child writes the table's text in `format` (its CSV
+    file, or its value in report.json) through the writer that emit uses,
+    into an unlinked temporary file opened before the fork.  emit calls
+    write() at the table's turn: it reaps the child and copies that text, or,
+    when no child ran or it failed, writes the table itself.  This process
+    makes every directory and file under the output directory, in the order
+    that it makes them without a child.  Leaving the block kills and reaps a
+    child not yet reaped and closes the temporary file.
+    """
+
+    def __init__(self, format: str) -> None:
+        self.format = _checked_format(format)
+        self.table: ClassifiedTable | None = None
+        self.text: IO[bytes] | None = None
+        self.child: ForkedChild | None = None
+
+    def start(self, table: ClassifiedTable) -> None:
+        self.close()
+        if not may_fork(len(table)):
+            return
+        self.table = table
+        try:
+            self.text = tempfile.TemporaryFile()
+            self.child = ForkedChild(self._write_text)
+        except OSError:  # no file or no fork: emit writes the table here
+            self.close()
+
+    def _write_text(self) -> None:  # in the child
+        with open(self.text.fileno(), "w", encoding="utf-8", newline="", closefd=False) as handle:
+            _TABLE_WRITERS[self.format](handle, _CLASSIFIED_HEADER, self.table.columns)
+
+    def holds(self, table: ClassifiedTable, format: str) -> bool:
+        """Whether a child writes `table`'s text in `format`."""
+        return self.child is not None and self.table is table and self.format == format
+
+    def write(self, handle: IO[str]) -> None:
+        """The table's text to `handle`: the child's, when its work returned, else written here."""
+        if self.child.wait():
+            os.lseek(self.text.fileno(), 0, os.SEEK_SET)  # the child's writes moved the shared offset
+            with open(self.text.fileno(), encoding="utf-8", newline="", closefd=False) as text:
+                shutil.copyfileobj(text, handle, 1 << 16)  # a larger piece raised the peak RSS
+        else:
+            _TABLE_WRITERS[self.format](handle, _CLASSIFIED_HEADER, self.table.columns)
+
+    def close(self) -> None:
+        if self.child is not None:
+            self.child.close()
+        if self.text is not None:
+            self.text.close()
+        self.table = self.text = self.child = None
+
+    def __enter__(self) -> ClassifiedWriter:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def _row_table(header: list[str], rows: Iterable[Sequence]) -> tuple[list[str], list[Sequence]]:
@@ -671,9 +772,7 @@ def _tables(report: RoundReport) -> dict[str, tuple[list[str], list[Sequence]]]:
             ("fig_min_median_scatter", MinMedianRow, report.min_median_rows),
         )
     }
-    tables["classified_applications"] = (
-        [f.name for f in fields(ClassifiedApplication)], report.classified.columns
-    )
+    tables["classified_applications"] = (_CLASSIFIED_HEADER, report.classified.columns)
     totals = ["n_applications", "n_qualified", "n_disciplines", "distinct_names"]
     tables["totals"] = _row_table(totals, [operator.attrgetter(*totals)(report)])
     tables["summaries"] = _row_table(
@@ -721,23 +820,31 @@ def _tables(report: RoundReport) -> dict[str, tuple[list[str], list[Sequence]]]:
     return tables
 
 
-def emit(report: RoundReport, format: str, target: str | Path) -> list[Path]:
+def emit(
+    report: RoundReport, format: str, target: str | Path, *, writer: ClassifiedWriter | None = None
+) -> list[Path]:
     """Write the report under `target`; returns the created file paths.
 
     format "csv" produces one file per table; "json" produces a single
-    report.json with the same tables keyed by name.
+    report.json with the same tables keyed by name.  The classified table is
+    the text of `writer` when a child of it writes that table in `format`.
     """
-    if format not in ("csv", "json"):
-        raise ValueError(f"unknown format {format!r}, expected csv or json")
+    _checked_format(format)
     out_dir = Path(target)
     tables = _tables(report)
+    if writer is not None and writer.holds(report.classified, format):
+        tables["classified_applications"] = writer
     written: list[Path] = []
     if format == "csv":
-        for name, (header, columns) in sorted(tables.items()):
+        for name, table in sorted(tables.items()):
             written.append(out_dir / f"{name}.csv")
-            _write_csv(written[-1], header, columns)
+            if isinstance(table, ClassifiedWriter):
+                with ingest.output_file(written[-1]) as handle:
+                    table.write(handle)
+            else:
+                _write_csv(written[-1], *table)
     else:
         written.append(out_dir / "report.json")
-        with output_file(written[-1]) as handle:
+        with ingest.output_file(written[-1]) as handle:
             _write_json(handle, tables)
     return written

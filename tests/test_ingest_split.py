@@ -141,3 +141,58 @@ def test_the_command_line_forks_without_a_deprecation_warning(tmp_path):
     assert (done.returncode, done.stdout) == (0, "ok: 2100 applications, 1 median sets\n"), done.stderr
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert json.loads(done.stderr) == (1 if cpus >= 2 and hasattr(os, "fork") else 0)
+
+
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_ROUND = ["--applications", str(GOLDEN / "applications.csv"), "--medians", str(GOLDEN / "medians.csv"),
+                "--registry", str(GOLDEN / "registry.csv")]
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze --format csv", "analyze --format json"])
+def test_the_demo_round_is_read_and_written_in_one_process(tmp_path, command):
+    # 680 rows, fewer than FORK_ROWS: a fork there costs more than it saves
+    args = [*command.split(), *GOLDEN_ROUND]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "report")]
+    done = subprocess.run([sys.executable, "-c", DRIVER, *args], env=ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr.splitlines()[-1]) == 0
+
+
+# Parses a round and runs `analyze` on it in one process, beside a thread that it
+# starts first, and prints the exit code and the number of forks.
+THREADED = """
+import _thread, os, sys, threading, time
+from asnqual import cli, ingest
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+thread, applications, medians, out = sys.argv[1:]
+if thread == "threading.Thread":
+    threading.Thread(target=time.sleep, args=(60,), daemon=True).start()
+elif thread == "_thread":  # an OS thread that threading does not list
+    _thread.start_new_thread(time.sleep, (60,))
+ingest.parse_applications(applications)
+code = cli.main(["analyze", "--applications", applications, "--medians", medians, "--out", out])
+print(code, len(forks))
+"""
+
+
+@pytest.mark.parametrize("thread", [
+    "none",
+    "threading.Thread",
+    pytest.param("_thread", marks=pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="OS threads are counted in /proc/self/task")),
+])
+def test_no_fork_beside_another_thread(tmp_path, thread):
+    applications, medians = round_files(tmp_path)
+    done = subprocess.run(
+        [sys.executable, "-c", THREADED, thread, str(applications), str(medians), str(tmp_path / "report")],
+        env={**ENV, "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    code, forks = map(int, done.stdout.split()[-2:])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    alone = cpus >= 2 and hasattr(os, "fork") and thread == "none"
+    # alone: the parse, analyze's parse and the classified table's writer
+    assert (code, forks) == (0, 3 if alone else 0)
