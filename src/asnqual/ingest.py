@@ -19,7 +19,6 @@ import operator
 import os
 import re
 import stat
-import threading
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
@@ -585,24 +584,26 @@ _CHUNK_BYTES = 1 << 16
 # table: each block is split or formatted column by column, and is all of a
 # table that is held as text.
 BLOCK_ROWS = 1024
-# The fewest rows that a second process parses or formats.  A fork, a pipe or a
-# temporary file and a reap cost 2-3 ms, about what one process takes for one
-# block of rows, so no split pays below two blocks; the 680-row demo round is
-# read and written in one process.
-FORK_ROWS = 2 * BLOCK_ROWS
+# The fewest rows that a second process parses or formats.  In a size sweep of
+# national-300's groups (fresh processes, alternating pairs on a 2-vCPU host),
+# neither the split parse nor the classified table's writer won reliably below
+# about 18,000 rows, where a fork, a pipe or a temporary file and a reap cost
+# about what they save, and both won at 21,000 and 24,000 rows; the 680-row
+# demo round is read and written in one process.
+FORK_ROWS = 20 * BLOCK_ROWS
 
 
 def _forkable() -> bool:
     """Whether this process may fork a child that runs Python: os.fork exists, no other
     thread runs, and the process may use two CPUs.  fork copies only the calling
-    thread; where /proc/self/task lists the OS threads (Linux), each one counts, a
-    BLAS pool's too, and elsewhere the Python threads do."""
+    thread, so every OS thread counts, a BLAS pool's too; where /proc/self/task
+    does not list them (outside Linux), the process does not fork."""
     if not hasattr(os, "fork"):
         return False
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
-        threads = threading.active_count()
+        return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return threads == 1 and (cpus or 1) >= 2
 

@@ -704,26 +704,21 @@ class ClassifiedWriter:
 
     def start(self, table: ClassifiedTable) -> None:
         self.close()
-        if not may_fork(len(table)):
-            return
         self.table = table
-        try:
-            self.text = tempfile.TemporaryFile()
-            self.child = ForkedChild(self._write_text)
-        except OSError:  # no file or no fork: emit writes the table here
-            self.close()
+        if may_fork(len(table)):
+            try:
+                self.text = tempfile.TemporaryFile()
+                self.child = ForkedChild(self._write_text)
+            except OSError:  # no file or no fork: write() writes the table here
+                self.close()
 
     def _write_text(self) -> None:  # in the child
         with open(self.text.fileno(), "w", encoding="utf-8", newline="", closefd=False) as handle:
             _TABLE_WRITERS[self.format](handle, _CLASSIFIED_HEADER, self.table.columns)
 
-    def holds(self, table: ClassifiedTable, format: str) -> bool:
-        """Whether a child writes `table`'s text in `format`."""
-        return self.child is not None and self.table is table and self.format == format
-
     def write(self, handle: IO[str]) -> None:
         """The table's text to `handle`: the child's, when its work returned, else written here."""
-        if self.child.wait():
+        if self.child is not None and self.child.wait():
             os.lseek(self.text.fileno(), 0, os.SEEK_SET)  # the child's writes moved the shared offset
             with open(self.text.fileno(), encoding="utf-8", newline="", closefd=False) as text:
                 shutil.copyfileobj(text, handle, 1 << 16)  # a larger piece raised the peak RSS
@@ -735,7 +730,7 @@ class ClassifiedWriter:
             self.child.close()
         if self.text is not None:
             self.text.close()
-        self.table = self.text = self.child = None
+        self.text = self.child = None
 
     def __enter__(self) -> ClassifiedWriter:
         return self
@@ -827,12 +822,13 @@ def emit(
 
     format "csv" produces one file per table; "json" produces a single
     report.json with the same tables keyed by name.  The classified table is
-    the text of `writer` when a child of it writes that table in `format`.
+    written by `writer`, which analyze_round started on it.
     """
     _checked_format(format)
     out_dir = Path(target)
     tables = _tables(report)
-    if writer is not None and writer.holds(report.classified, format):
+    if writer is not None:
+        assert writer.format == format and writer.table is report.classified
         tables["classified_applications"] = writer
     written: list[Path] = []
     if format == "csv":

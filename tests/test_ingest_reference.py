@@ -251,6 +251,7 @@ def with_line(line, where):
 @pytest.fixture(params=["split", "one process"])
 def split(request, monkeypatch):
     monkeypatch.setattr(ingest, "_forkable", lambda: request.param == "split")
+    monkeypatch.setattr(ingest, "FORK_ROWS", ingest.BLOCK_ROWS)  # under ROUND_ROWS
     return request.param
 
 
@@ -318,6 +319,7 @@ LINES = {
 @pytest.mark.parametrize("name", sorted(LINES))
 def test_a_line_anywhere_in_a_split_round_is_read_as_the_reference(tmp_path, monkeypatch, name, where, forkable):
     monkeypatch.setattr(ingest, "_forkable", lambda: forkable)
+    monkeypatch.setattr(ingest, "FORK_ROWS", ingest.BLOCK_ROWS)  # under ROUND_ROWS
     path = tmp_path / "applications.csv"
     path.write_bytes(with_line(LINES[name], where))
     assert_parsed_as_the_reference(path)

@@ -30,8 +30,10 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children the test forks, with the split allowed on any host."""
+    """The pids of the children the test forks, with the split allowed on any host and
+    for the test's rounds of 2,100 rows."""
     monkeypatch.setattr(ingest, "_forkable", lambda: True)
+    monkeypatch.setattr(ingest, "FORK_ROWS", ingest.BLOCK_ROWS)
     pids, fork = [], os.fork
 
     def recording():
@@ -80,6 +82,7 @@ def test_no_child_outlives_a_hard_error(tmp_path, forks):
 @pytest.mark.parametrize("forkable", [True, False], ids=["split", "one process"])
 def test_a_clean_round_is_read_by_the_block_path(tmp_path, monkeypatch, forkable):
     monkeypatch.setattr(ingest, "_forkable", lambda: forkable)
+    monkeypatch.setattr(ingest, "FORK_ROWS", ingest.BLOCK_ROWS)
     monkeypatch.setattr(ingest, "_parse_rows", lambda *args: pytest.fail("read by the row loop"))
     table, diagnostics = parse_applications(write_round(tmp_path), REGISTRY)
     assert (len(table), len(table.groups), diagnostics) == (2100, 1, [])
@@ -129,18 +132,22 @@ atexit.register(lambda: print(len(forks), file=sys.stderr))
 sys.argv = ["asnqual", *sys.argv[1:]]
 runpy.run_module("asnqual.cli", run_name="__main__", alter_sys=True)
 """
+# A fork floor under the rounds of 2,100 rows, set before DRIVER runs.
+LOWER_FLOOR = "from asnqual import ingest\ningest.FORK_ROWS = ingest.BLOCK_ROWS\n"
+# Whether this host may fork: ingest._forkable counts the OS threads of /proc/self/task.
+MAY_FORK = (hasattr(os, "fork") and os.path.isdir("/proc/self/task") and (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) >= 2)
 
 
 def test_the_command_line_forks_without_a_deprecation_warning(tmp_path):
     applications, medians = round_files(tmp_path)
     done = subprocess.run(
-        [sys.executable, "-W", "error::DeprecationWarning", "-c", DRIVER, "validate",
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", LOWER_FLOOR + DRIVER, "validate",
          "--applications", str(applications), "--medians", str(medians)],
         env=ENV, capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "ok: 2100 applications, 1 median sets\n"), done.stderr
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert json.loads(done.stderr) == (1 if cpus >= 2 and hasattr(os, "fork") else 0)
+    assert json.loads(done.stderr) == (1 if MAY_FORK else 0)
 
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -160,9 +167,22 @@ def test_the_demo_round_is_read_and_written_in_one_process(tmp_path, command):
     assert json.loads(done.stderr.splitlines()[-1]) == 0
 
 
+# 10,000 rows: in the size sweep of ingest.FORK_ROWS neither fork paid there
+@pytest.mark.parametrize("rows, forks", [(10_000, 0), (ingest.FORK_ROWS, 1)], ids=["10,000 rows", "the floor"])
+def test_only_a_round_at_the_floor_is_read_in_two_processes(tmp_path, rows, forks):
+    path = tmp_path / "applications.csv"
+    path.write_text("".join(round_lines(rows)), encoding="utf-8")
+    (tmp_path / "medians.csv").write_text(MEDIANS, encoding="utf-8")
+    done = subprocess.run([sys.executable, "-c", DRIVER, "validate", "--applications", str(path),
+                           "--medians", str(tmp_path / "medians.csv")],
+                          env=ENV, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, f"ok: {rows} applications, 1 median sets\n")
+    assert json.loads(done.stderr) == (forks if MAY_FORK else 0)
+
+
 # Parses a round and runs `analyze` on it in one process, beside a thread that it
 # starts first, and prints the exit code and the number of forks.
-THREADED = """
+THREADED = LOWER_FLOOR + """
 import _thread, os, sys, threading, time
 from asnqual import cli, ingest
 forks, fork = [], os.fork
@@ -192,7 +212,6 @@ def test_no_fork_beside_another_thread(tmp_path, thread):
     )
     assert done.returncode == 0, done.stderr
     code, forks = map(int, done.stdout.split()[-2:])
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    alone = cpus >= 2 and hasattr(os, "fork") and thread == "none"
+    alone = MAY_FORK and thread == "none"
     # alone: the parse, analyze's parse and the classified table's writer
     assert (code, forks) == (0, 3 if alone else 0)

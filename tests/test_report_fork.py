@@ -27,9 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-# the parse and the classified table's writer, where the host may fork
-FORKS = 2 if hasattr(os, "fork") and CPUS >= 2 else 0
-# 3,000 applicants in two groups: three blocks of rows
+# the parse and the classified table's writer, where the host may fork and counts OS threads
+FORKS = 2 if hasattr(os, "fork") and CPUS >= 2 and os.path.isdir("/proc/self/task") else 0
+# 3,000 applicants in two groups: three blocks of rows, forked under a floor of one block
 CONFIG = {"plans": [{
     "discipline": "01/A1", "n_full": 1500, "n_associate": 1500, "professors": 101,
     "components": [{"family": "lognormal", "params": [1.2, 0.7]},
@@ -75,8 +75,9 @@ def assert_no_child_left():
 
 @pytest.fixture
 def forkable(monkeypatch):
-    """A fork allowed on any host and beside this process's threads."""
+    """A fork allowed on any host, beside this process's threads and for a three-block round."""
     monkeypatch.setattr(ingest, "_forkable", lambda: True)
+    monkeypatch.setattr(ingest, "FORK_ROWS", ingest.BLOCK_ROWS)
 
 
 @pytest.fixture
@@ -88,7 +89,7 @@ def dataset(blocks_round):
 def test_the_childs_text_is_that_of_one_process(forkable, dataset, one_process, tmp_path, format):
     with ClassifiedWriter(format) as writer:
         analyzed = analyze_round(dataset, writer=writer)
-        assert writer.child is not None and writer.holds(analyzed.classified, format)
+        assert writer.child is not None and writer.table is analyzed.classified
         emit(analyzed, format, tmp_path, writer=writer)
         assert writer.child.pid is None  # reaped at the table's turn
     assert files(tmp_path) == one_process[format]
@@ -110,17 +111,6 @@ def test_a_failed_child_leaves_the_table_to_this_process(
     assert_no_child_left()
 
 
-def test_a_writer_of_another_format_or_report_is_not_read(forkable, dataset, one_process, tmp_path):
-    with ClassifiedWriter("csv") as writer:
-        analyzed = analyze_round(dataset, writer=writer)
-        emit(analyzed, "json", tmp_path / "json", writer=writer)
-        emit(analyze_round(dataset), "csv", tmp_path / "csv", writer=writer)
-        assert writer.child.pid is not None  # never read, so never waited for
-    assert files(tmp_path / "json") == one_process["json"]
-    assert files(tmp_path / "csv") == one_process["csv"]
-    assert_no_child_left()
-
-
 def test_leaving_the_block_early_kills_and_reaps_the_child(forkable, dataset):
     with pytest.raises(RuntimeError), ClassifiedWriter("json") as writer:
         analyze_round(dataset, writer=writer)
@@ -129,7 +119,8 @@ def test_leaving_the_block_early_kills_and_reaps_the_child(forkable, dataset):
     assert_no_child_left()
 
 
-def test_fewer_rows_than_the_floor_are_not_forked(forkable):
+def test_fewer_rows_than_the_floor_are_not_forked(monkeypatch):
+    monkeypatch.setattr(ingest, "_forkable", lambda: True)
     assert not ingest.may_fork(ingest.FORK_ROWS - 1) and ingest.may_fork(ingest.FORK_ROWS)
 
 
@@ -143,9 +134,11 @@ def test_an_unknown_format_is_refused_before_any_fork():
 # the child that tries one; only the table's child writes one, the parse's
 # writes to a pipe.  At exit it prints the forks, the exit codes of the children
 # reaped, whether a child is left, the BLAS thread setting and the number of OS
-# threads, where Linux lists them.
+# threads, where Linux lists them.  The fork floor is lowered to one block.
 DRIVER = """
 import atexit, json, os, resource, runpy, signal, sys
+from asnqual import ingest
+ingest.FORK_ROWS = ingest.BLOCK_ROWS
 mode = sys.argv.pop(1)
 forks, fork = [], os.fork
 codes, waitpid = [], os.waitpid
