@@ -508,37 +508,69 @@ def parse_applications(
     return _parse_rows(source, kinds)
 
 
-def _parse_rows(
-    source: str | Path | IO[str], kinds: dict[str, IndicatorKind]
-) -> tuple[ApplicationTable, list[Diagnostic]]:
-    """The row loop: one csv.reader pass; each distinct discipline, sub-discipline and
-    role is parsed once.  It reads every input, and names the line of each diagnostic
-    and hard error."""
-    # (code, sub-discipline, role) as written -> group id.  A group is a
-    # (discipline, role, kind); kind is None for a discipline the registry lacks,
-    # and the first row of such a group that passes the row checks is a hard error.
-    group_ids: dict[tuple[str, str, str], int] = {}
-    group_of: dict[tuple[DisciplineId, Role], int] = {}
-    groups: list[tuple[DisciplineId, Role, IndicatorKind | None]] = []
-    # The ids already read in each group, for the duplicate check.
-    seen: list[set[str]] = []
-    ids: list[str] = []
-    # Typed buffers, not per-row objects: the group id, the three indicators
-    # and the 0/1 outcome of each row.
-    group = array("i")
-    values = array("d")
-    flags = bytearray()
+class _Columns:
+    """The columns and groups of a table that either parse path fills: gid() parses each
+    distinct discipline, sub-discipline and role once; add() checks and appends every row."""
+
+    def __init__(self, kinds: dict[str, IndicatorKind]) -> None:
+        self.kinds = kinds
+        # (code, sub-discipline, role) as written -> group id.  A group is a
+        # (discipline, role, kind); kind is None for a discipline the registry lacks.
+        self.group_ids: dict[tuple[str, str, str], int] = {}
+        self.group_of: dict[tuple[DisciplineId, Role], int] = {}
+        self.groups: list[tuple[DisciplineId, Role, IndicatorKind | None]] = []
+        self.keys: list[tuple[str, str, str]] = []  # the first raw key of each group
+        # The ids already read in each group, for the duplicate check.
+        self.seen: list[set[str]] = []
+        self.ids: list[str] = []
+        # Typed buffers, not per-row objects: the group id, the three indicators
+        # and the 0/1 outcome of each row.
+        self.group, self.values, self.flags = array("i"), array("d"), bytearray()
+
+    def gid(self, key: tuple[str, str, str]) -> int:
+        """The group id of a raw (discipline, sub-discipline, role), numbered in order of
+        first appearance; _RowDamage if the discipline or the role does not parse."""
+        gid = self.group_ids.get(key)
+        if gid is None:
+            code, sub, role = key
+            parsed = (_parse_discipline(code, sub), _parse_role(role))
+            gid = self.group_ids[key] = self.group_of.setdefault(parsed, len(self.groups))
+            if gid == len(self.groups):
+                self.groups.append((*parsed, self.kinds.get(parsed[0].code)))
+                self.keys.append(key)
+                self.seen.append(set())
+        return gid
+
+    def add(self, gid: int, ids: list[str], values: Iterable[float], flags: Iterable[int]) -> bool:
+        """Appends a run of rows of group `gid`: ids, indicators three per row, 0/1 outcomes.
+        False, with nothing appended, if an id is already in the group or twice in the run."""
+        seen = self.seen[gid]
+        size = len(seen)
+        seen.update(ids)
+        if len(seen) != size + len(ids):
+            return False
+        self.ids += ids
+        self.group.fromlist([gid] * len(ids))
+        self.values.extend(values)
+        self.flags.extend(flags)
+        return True
+
+    def table(self) -> ApplicationTable:
+        # every name is checked before its row is added, so from_rows' check is not run
+        return _table(self.ids, self.groups, self.group, self.values, self.flags)
+
+
+def _parse_rows(source: str | Path | IO[str],
+                kinds: dict[str, IndicatorKind]) -> tuple[ApplicationTable, list[Diagnostic]]:
+    """The row loop: one csv.reader pass that adds each clean row to _Columns.  It reads every
+    input and names the line of each diagnostic and hard error.  A group whose discipline the
+    registry lacks is a hard error at its first row that passes the row checks."""
+    columns = _Columns(kinds)
     diagnostics: list[Diagnostic] = []
     rows = _rows(source, APPLICATION_COLUMNS)
     for line, (last, first, code, sub, role_code, raw1, raw2, raw3, flag) in rows:
         try:
-            gid = group_ids.get((code, sub, role_code))
-            if gid is None:
-                key = (_parse_discipline(code, sub), _parse_role(role_code))
-                gid = group_ids[code, sub, role_code] = group_of.setdefault(key, len(groups))
-                if gid == len(groups):
-                    groups.append((*key, kinds.get(key[0].code)))
-                    seen.append(set())
+            gid = columns.gid((code, sub, role_code))
             try:
                 v1, v2, v3 = float(raw1), float(raw2), float(raw3)
             except ValueError:
@@ -551,7 +583,7 @@ def _parse_rows(
         except _RowDamage as damage:
             diagnostics.append(Diagnostic(line, str(damage), code=damage.code))
             continue
-        discipline, role, kind = groups[gid]
+        discipline, role, kind = columns.groups[gid]
         if kind is None:
             _fail(source, rows, f"line {line}: discipline {discipline.code} is not in the registry")
         if not (0 <= v1 < math.inf and 0 <= v2 < math.inf and 0 <= v3 < math.inf):
@@ -561,20 +593,10 @@ def _parse_rows(
                 diagnostics.append(Diagnostic(line, str(exc), code="value"))
                 continue
         identity = applicant_id(last, first)
-        in_group = seen[gid]
-        if identity in in_group:
-            _fail(
-                source, rows,
-                f"line {line}: duplicate application for {identity} "
-                f"in {discipline.code} role {role.value}",
-            )
-        in_group.add(identity)
-        ids.append(identity)
-        group.append(gid)
-        values.extend((v1, v2, v3))
-        flags.append(qualified)
-    # _check_names has checked every name, so the table is built without from_rows' check
-    return _table(ids, groups, group, values, flags), diagnostics
+        if not columns.add(gid, [identity], (v1, v2, v3), (qualified,)):
+            _fail(source, rows, f"line {line}: duplicate application for {identity} "
+                                f"in {discipline.code} role {role.value}")
+    return columns.table(), diagnostics
 
 
 # The most bytes of a file that the block path reads at once; each read is cut
@@ -720,7 +742,7 @@ def _parse_halves(path: str | Path, handle: IO[bytes], blocks: _Blocks,
     return blocks.merge(columns)
 
 
-class _Blocks:
+class _Blocks(_Columns):
     """The columns of a file's rows, parsed 1,024 lines at a time with one split per
     block; it raises _Decline at anything the row loop would not read as a clean row.
 
@@ -735,7 +757,7 @@ class _Blocks:
 
     def __init__(self, handle: IO[bytes], kinds: dict[str, IndicatorKind]) -> None:
         """Reads the header line of `handle`, leaving it at the first row."""
-        self.kinds = kinds
+        super().__init__(kinds)
         self.limit = csv.field_size_limit()
         line = handle.readline(self.limit + 1)
         try:
@@ -749,16 +771,6 @@ class _Blocks:
             raise _Decline
         self.commas = header.count(",")
         self.picks = [position[c] for c in APPLICATION_COLUMNS]
-        # The same group bookkeeping as the row loop's.
-        self.group_ids: dict[tuple[str, str, str], int] = {}
-        self.group_of: dict[tuple[DisciplineId, Role], int] = {}
-        self.groups: list[tuple[DisciplineId, Role, IndicatorKind]] = []
-        self.keys: list[tuple[str, str, str]] = []  # the first raw key of each group
-        self.seen: list[set[str]] = []
-        self.ids: list[str] = []
-        self.group = array("i")
-        self.values = array("d")
-        self.flags = bytearray()
 
     def read(self, handle: IO[bytes], start: int, end: int) -> _Blocks:
         """Parse the rows in bytes [start, end) of the file, which end at a line break or
@@ -817,63 +829,40 @@ class _Blocks:
         # a NaN, an infinity or an overflow makes the sum NaN or infinite
         if min(values) < 0 or not sum(values) < math.inf:
             raise _Decline
-        # one group id and one duplicate check per run of rows with the same raw key
+        # as an array, so that each run is appended by one copy
+        self._add_runs(zip(code, sub, role), self._gid, ids, array("d", values), flags)
+
+    def _add_runs(self, keys: Iterable, gid: Callable, ids: list, values: Sequence, flags: bytes) -> None:
+        """Adds rows one run of equal keys at a time, each with the group id gid(key)."""
         lo = 0
-        for key, run in itertools.groupby(zip(code, sub, role)):
+        for key, run in itertools.groupby(keys):
             hi = lo + len(list(run))
-            gid = self._gid(key)
-            seen = self.seen[gid]
-            size = len(seen)
-            seen.update(ids[lo:hi])
-            if len(seen) != size + hi - lo:
-                raise _Decline  # a duplicate application
-            self.group.fromlist([gid] * (hi - lo))
+            if not self.add(gid(key), ids[lo:hi], values[3 * lo:3 * hi], flags[lo:hi]):
+                raise _Decline  # a duplicate application, in one half or across the halves
             lo = hi
-        self.ids += ids
-        self.values.fromlist(values)
-        self.flags += flags
 
     def _gid(self, key: tuple[str, str, str]) -> int:
-        """The group id of a raw (discipline, sub-discipline, role), added when new."""
-        gid = self.group_ids.get(key)
-        if gid is None:
-            code, sub, role = key
-            try:
-                parsed = (_parse_discipline(code, sub), _parse_role(role))
-            except _RowDamage:
-                raise _Decline from None
-            gid = self.group_ids[key] = self.group_of.setdefault(parsed, len(self.groups))
-            if gid == len(self.groups):
-                kind = self.kinds.get(parsed[0].code)
-                if kind is None:
-                    raise _Decline
-                self.groups.append((*parsed, kind))
-                self.keys.append(key)
-                self.seen.append(set())
+        """The group id of a raw key; declined if the key does not parse or the registry lacks it."""
+        try:
+            gid = self.gid(key)
+        except _RowDamage:
+            raise _Decline from None
+        if self.groups[gid][2] is None:
+            raise _Decline
         return gid
 
     def payload(self) -> bytes:
-        """The columns, as a child sends them: ids, the raw key of each group, the three
-        buffers as bytes, and the ids of each group, for the duplicate check across halves."""
+        """The columns as a child sends them: ids, each group's first raw key, buffers as bytes."""
         return marshal.dumps((self.ids, self.keys, self.group.tobytes(), self.values.tobytes(),
-                              bytes(self.flags), [list(seen) for seen in self.seen]))
+                              bytes(self.flags)))
 
     def merge(self, columns: tuple) -> ApplicationTable:
-        """The table of these rows followed by those of a child's loaded payload."""
-        ids, keys, group, values, flags, their_seen = columns
+        """The table of these rows, then those of a child's loaded payload, added by add() too."""
+        ids, keys, group, values, flags = columns
         # the child's groups, renumbered: ours first, then its new ones in its order
         renumber = list(map(self._gid, keys))
-        for gid, theirs in zip(renumber, their_seen):
-            if not self.seen[gid].isdisjoint(theirs):
-                raise _Decline  # a duplicate across the halves
-        self.ids += ids
-        self.group.extend(map(renumber.__getitem__, array("i", group)))
-        self.values.frombytes(values)
-        self.flags += flags
+        self._add_runs(array("i", group), renumber.__getitem__, ids, array("d", values), flags)
         return self.table()
-
-    def table(self) -> ApplicationTable:
-        return _table(self.ids, self.groups, self.group, self.values, self.flags)
 
 
 def parse_medians(

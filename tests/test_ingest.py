@@ -220,6 +220,10 @@ class TestParseApplications:
         (["Rossi,Maria,01/A1,,1,1,1,1,true", "Rossi,Maria,01/A1,,2,2,2,2,true",
           "Rossi,Maria,01/A1,,2,2,2,2,true"],
          "line 4: duplicate application for Rossi|Maria in 01/A1 role 2"),
+        # a discipline the registry lacks fails at its first row that passes the row checks
+        (["Verdi,Anna,01/A9,,1,x,1,1,true", "Rossi,Maria,01/A1,,1,1,1,1,true",
+          "Verdi,Bo,01/A9,,1,1,1,1,true"],
+         "line 4: discipline 01/A9 is not in the registry"),
     ])
     def test_the_first_hard_error_in_the_file_is_raised(self, rows, message):
         with pytest.raises(ValueError, match=re.escape(f"input: {message}")):

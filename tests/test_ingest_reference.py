@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asnqual import ingest
@@ -396,3 +396,35 @@ def test_a_bad_byte_after_the_cut_wins_over_a_hard_error_before_it(tmp_path, spl
     path = write_round(tmp_path, data[:cut + 40] + b"\xff" + data[cut + 40:])
     expected = assert_parsed_as_the_reference(path)
     assert expected[0] == "hard error" and "not UTF-8 text" in expected[2]
+
+
+# Bytes that each send the block path or the csv reader down another branch: a
+# quote, a carriage return, a NUL, the two characters applicant_id escapes, a
+# number past the largest float, a byte that is not UTF-8 and a byte-order mark;
+# a space and a digit mostly leave the round clean, for the block path to read.
+TOKENS = [b'"', b"\r", b"\0", b"|", b"\\", b"1e400", b"\xff", b"\xef\xbb\xbf", b" ", b"7"]
+
+
+@st.composite
+def edited_rounds(draw):
+    """The clean round with one to three edits: a token inserted, a span of up to 16
+    bytes deleted or a line copied to another place."""
+    data = "".join(round_lines()).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["insert", "delete", "copy a line"]))
+        at = draw(st.integers(0, len(data)))
+        if edit == "insert":
+            data = data[:at] + draw(st.sampled_from(TOKENS)) + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 16)):]
+        else:
+            lines = data.splitlines(keepends=True)
+            lines.insert(draw(st.integers(0, len(lines))), lines[min(at, len(lines) - 1)])
+            data = b"".join(lines)
+    return data
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edited_rounds())
+def test_byte_edits_anywhere_in_a_round_are_read_as_the_reference(tmp_path, split, data):
+    assert_parsed_as_the_reference(write_round(tmp_path, data))
