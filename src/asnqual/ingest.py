@@ -609,18 +609,18 @@ BLOCK_ROWS = 1024
 # The fewest rows that a second process parses or formats.  In a size sweep of
 # national-300's groups (fresh processes, alternating pairs on a 2-vCPU host),
 # neither the split parse nor the classified table's writer won reliably below
-# about 18,000 rows, where a fork, a pipe or a temporary file and a reap cost
-# about what they save, and both won at 21,000 and 24,000 rows; the 680-row
-# demo round is read and written in one process.
+# about 18,000 rows, where a fork, its output and a reap cost about what they
+# save, and both won at 21,000 and 24,000 rows; the 680-row demo round is read
+# and written in one process.
 FORK_ROWS = 20 * BLOCK_ROWS
 
 
 def _forkable() -> bool:
-    """Whether this process may fork a child that runs Python: os.fork exists, no other
+    """Whether this process may fork a ForkedChild: os.memfd_create exists, no other
     thread runs, and the process may use two CPUs.  fork copies only the calling
     thread, so every OS thread counts, a BLAS pool's too; where /proc/self/task
     does not list them (outside Linux), the process does not fork."""
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "memfd_create"):
         return False
     try:
         threads = len(os.listdir("/proc/self/task"))
@@ -637,31 +637,43 @@ def may_fork(rows: int) -> bool:
 
 
 class ForkedChild:
-    """A forked child that runs `work` and leaves by os._exit, with status 0 when `work`
-    returns and 1 when it raises.  So it never returns into the caller's code, runs no
-    atexit handler and flushes none of the caller's stdio buffers.
+    """A forked child that runs `work(out)` and leaves by os._exit, with status 0 when
+    `work` returns and 1 when it raises.  So it never returns into the caller's code,
+    runs no atexit handler and flushes none of the caller's stdio buffers.
 
-    close(), and leaving a `with` block, kills the child if it is not reaped yet and
-    reaps it: no child outlives its owner.
+    `out`, the child's one way back, is an anonymous in-memory file opened before the
+    fork: it needs no directory, and unlike a full pipe it never stops the child.
+    wait() reaps the child and returns `out` from its start, or None when the work
+    raised or the child died.  close(), and leaving a `with` block, kills the child
+    if not reaped yet, reaps it and closes `out`: no child or file outlives its owner.
     """
 
-    def __init__(self, work: Callable[[], object]) -> None:
-        self.returned = False
-        self.pid: int | None = os.fork()
+    def __init__(self, work: Callable[[IO[bytes]], object]) -> None:
+        self.out = open(os.memfd_create("asnqual", os.MFD_CLOEXEC), "w+b")
+        try:
+            self.pid: int | None = os.fork()
+        except BaseException:
+            self.out.close()
+            raise
         if self.pid == 0:
             status = 1
             try:
-                work()
+                work(self.out)
+                self.out.flush()
                 status = 0
             finally:
                 os._exit(status)
 
-    def wait(self) -> bool:
-        """Reaps the child once; whether its work returned."""
+    def wait(self) -> IO[bytes] | None:
+        """Reaps the child once; `out` from its start when the work returned, else None."""
         if self.pid is not None:
-            _, status = os.waitpid(self.pid, 0)
-            self.pid, self.returned = None, status == 0
-        return self.returned
+            if os.waitpid(self.pid, 0)[1] != 0:
+                self.out.close()
+            self.pid = None
+        if self.out.closed:
+            return None
+        self.out.seek(0)  # the child's writes moved the shared offset
+        return self.out
 
     def close(self) -> None:
         if self.pid is not None:
@@ -669,6 +681,7 @@ class ForkedChild:
 
             os.kill(self.pid, signal.SIGKILL)
             self.wait()
+        self.out.close()
 
     def __enter__(self) -> ForkedChild:
         return self
@@ -715,30 +728,24 @@ def _parse_halves(path: str | Path, handle: IO[bytes], blocks: _Blocks,
     """Rows [start, cut) parsed here and [cut, end) in a ForkedChild, then merged.
 
     The child opens the file anew, so as not to move this process's offset,
-    and sends its columns through a pipe as one marshal payload.  The child
+    and writes its columns to its output as one marshal payload.  The child
     is reaped before this returns or raises, and killed first if this
-    process's half stops early.
+    process's half stops early.  If no child can be made, this parses all rows.
     """
-    def send() -> None:  # in the child
+    def send(out: IO[bytes]) -> None:  # in the child
         with open(path, "rb") as own:
-            payload = blocks.read(own, cut, end).payload()
-        with open(writer, "wb") as pipe:
-            pipe.write(payload)
+            out.write(blocks.read(own, cut, end).payload())
 
-    reader, writer = os.pipe()
-    with open(reader, "rb") as pipe:
-        try:
-            child = ForkedChild(send)
-        finally:
-            os.close(writer)
-        with child:
-            blocks.read(handle, start, cut)
-            payload = pipe.read()
-            sent = child.wait()
-        columns = marshal.loads(payload) if sent else None
-        del payload  # freed before the merge grows the columns
-    if columns is None:
-        raise _Decline
+    try:
+        child = ForkedChild(send)
+    except OSError:  # no output file or no fork
+        return blocks.read(handle, start, end).table()
+    with child:
+        blocks.read(handle, start, cut)
+        out = child.wait()
+        if out is None:
+            raise _Decline  # most likely a damaged second half, which only the row loop reads
+        columns = marshal.loads(out.read())  # marshal.load(out) reads it piece by piece
     return blocks.merge(columns)
 
 

@@ -19,9 +19,8 @@ import functools
 import itertools
 import math
 import operator
-import os
 import shutil
-import tempfile
+from contextlib import suppress
 from dataclasses import astuple, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -686,41 +685,36 @@ class ClassifiedWriter:
 
     analyze_round calls start() once the table's rows are sorted.  For a
     table of at least FORK_ROWS rows, in a process that may fork
-    (ingest.may_fork), a child writes the table's text in `format` (its CSV
-    file, or its value in report.json) through the writer that emit uses,
-    into an unlinked temporary file opened before the fork.  emit calls
-    write() at the table's turn: it reaps the child and copies that text, or,
-    when no child ran or it failed, writes the table itself.  This process
-    makes every directory and file under the output directory, in the order
-    that it makes them without a child.  Leaving the block kills and reaps a
-    child not yet reaped and closes the temporary file.
+    (ingest.may_fork), a ForkedChild writes the table's text in `format` (its
+    CSV file, or its value in report.json) to its output through the writer
+    that emit uses.  emit calls write() at the table's turn: it reaps the
+    child and copies that text, or, when no child ran or it failed, writes the
+    table itself.  This process makes every directory and file under the
+    output directory, in the order that it makes them without a child.
+    Leaving the block kills and reaps a child not yet reaped.
     """
 
     def __init__(self, format: str) -> None:
         self.format = _checked_format(format)
         self.table: ClassifiedTable | None = None
-        self.text: IO[bytes] | None = None
         self.child: ForkedChild | None = None
 
     def start(self, table: ClassifiedTable) -> None:
         self.close()
         self.table = table
         if may_fork(len(table)):
-            try:
-                self.text = tempfile.TemporaryFile()
+            with suppress(OSError):  # no output file or no fork: write() writes the table here
                 self.child = ForkedChild(self._write_text)
-            except OSError:  # no file or no fork: write() writes the table here
-                self.close()
 
-    def _write_text(self) -> None:  # in the child
-        with open(self.text.fileno(), "w", encoding="utf-8", newline="", closefd=False) as handle:
+    def _write_text(self, out: IO[bytes]) -> None:  # in the child
+        with open(out.fileno(), "w", encoding="utf-8", newline="", closefd=False) as handle:
             _TABLE_WRITERS[self.format](handle, _CLASSIFIED_HEADER, self.table.columns)
 
     def write(self, handle: IO[str]) -> None:
         """The table's text to `handle`: the child's, when its work returned, else written here."""
-        if self.child is not None and self.child.wait():
-            os.lseek(self.text.fileno(), 0, os.SEEK_SET)  # the child's writes moved the shared offset
-            with open(self.text.fileno(), encoding="utf-8", newline="", closefd=False) as text:
+        out = None if self.child is None else self.child.wait()
+        if out is not None:
+            with open(out.fileno(), encoding="utf-8", newline="", closefd=False) as text:
                 shutil.copyfileobj(text, handle, 1 << 16)  # a larger piece raised the peak RSS
         else:
             _TABLE_WRITERS[self.format](handle, _CLASSIFIED_HEADER, self.table.columns)
@@ -728,9 +722,7 @@ class ClassifiedWriter:
     def close(self) -> None:
         if self.child is not None:
             self.child.close()
-        if self.text is not None:
-            self.text.close()
-        self.text = self.child = None
+        self.child = None
 
     def __enter__(self) -> ClassifiedWriter:
         return self

@@ -1,13 +1,16 @@
-"""The two-process parse of a regular file leaves no process behind.
+"""The two-process parse of a regular file leaves no process or descriptor behind.
 
 parse_applications reads a clean regular file through the block path, the
 second half of it in a forked child when the process may fork.  Whether it
 returns, falls back to the row loop or raises a hard error, the child is
-reaped before it does.  A FIFO is never opened by the block path, and the
-command-line `validate` forks without a DeprecationWarning, which Python
-3.12 gives for a fork in a process that runs threads.
+reaped and its output file closed before it does; when no child can be made,
+the block path reads the whole file in this process.  A FIFO is never opened
+by the block path, and the command-line `validate` forks without a
+DeprecationWarning, which Python 3.12 gives for a fork in a process that runs
+threads.
 """
 
+import errno
 import json
 import os
 import subprocess
@@ -54,19 +57,28 @@ def write_round(tmp_path, line=None, at=0):
     return path
 
 
-def assert_one_child_reaped(pids):
+def open_fds():
+    """This process's open file descriptors, where /proc/self/fd lists them, else None."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def assert_one_child_reaped(pids, fds):
+    """One child forked and reaped, and the descriptors `fds` open before the parse are
+    those open after it."""
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):  # reaped, so no longer a child to wait for
         os.waitpid(pids[0], os.WNOHANG)
+    assert open_fds() == fds
 
 
 @pytest.mark.parametrize("line, at", [(None, 0), (row(last='"Rossi, Jr"'), 300),
                                       (row(last='"Rossi, Jr"'), 1900)],
                          ids=["returns", "falls back from the first half", "falls back from the second half"])
 def test_no_child_outlives_a_parse(tmp_path, forks, line, at):
-    table, diagnostics = parse_applications(write_round(tmp_path, line, at), REGISTRY)
+    path, fds = write_round(tmp_path, line, at), open_fds()
+    table, diagnostics = parse_applications(path, REGISTRY)
     assert len(table) == 2100 + (line is not None) and diagnostics == []
-    assert_one_child_reaped(forks)
+    assert_one_child_reaped(forks, fds)
 
 
 def test_no_child_outlives_a_hard_error(tmp_path, forks):
@@ -74,9 +86,10 @@ def test_no_child_outlives_a_hard_error(tmp_path, forks):
     lines.insert(1900, lines[100])  # file line 1901, a duplicate across the halves
     path = tmp_path / "applications.csv"
     path.write_text("".join(lines), encoding="utf-8")
+    fds = open_fds()
     with pytest.raises(ValueError, match="line 1901: duplicate application for Pad99"):
         parse_applications(path, REGISTRY)
-    assert_one_child_reaped(forks)
+    assert_one_child_reaped(forks, fds)
 
 
 @pytest.mark.parametrize("forkable", [True, False], ids=["split", "one process"])
@@ -87,6 +100,30 @@ def test_a_clean_round_is_read_by_the_block_path(tmp_path, monkeypatch, forkable
     table, diagnostics = parse_applications(write_round(tmp_path), REGISTRY)
     assert (len(table), len(table.groups), diagnostics) == (2100, 1, [])
     assert table[-1].applicant_id == "Pad2099|Ada"
+
+
+def columns(table):
+    return table.ids, table.groups, [bytes(b) for b in (table.group_buffer, table.ind_buffer,
+                                                        table.qualified_buffer)]
+
+
+@pytest.mark.parametrize("call", ["fork", "memfd_create"])
+def test_a_failed_fork_leaves_the_whole_file_to_the_block_path(tmp_path, monkeypatch, call):
+    path = write_round(tmp_path)
+    monkeypatch.setattr(ingest, "_forkable", lambda: False)
+    alone, _ = parse_applications(path, REGISTRY)
+    monkeypatch.setattr(ingest, "_forkable", lambda: True)
+    monkeypatch.setattr(ingest, "FORK_ROWS", ingest.BLOCK_ROWS)
+    monkeypatch.setattr(ingest, "_parse_rows", lambda *args: pytest.fail("read by the row loop"))
+
+    def fails(*args):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, call, fails)
+    fds = open_fds()
+    table, diagnostics = parse_applications(path, REGISTRY)
+    assert (columns(table), diagnostics) == (columns(alone), [])
+    assert open_fds() == fds
 
 
 def round_files(tmp_path):
@@ -135,7 +172,7 @@ runpy.run_module("asnqual.cli", run_name="__main__", alter_sys=True)
 # A fork floor under the rounds of 2,100 rows, set before DRIVER runs.
 LOWER_FLOOR = "from asnqual import ingest\ningest.FORK_ROWS = ingest.BLOCK_ROWS\n"
 # Whether this host may fork: ingest._forkable counts the OS threads of /proc/self/task.
-MAY_FORK = (hasattr(os, "fork") and os.path.isdir("/proc/self/task") and (
+MAY_FORK = (hasattr(os, "memfd_create") and os.path.isdir("/proc/self/task") and (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) >= 2)
 
 

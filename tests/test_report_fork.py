@@ -1,12 +1,12 @@
 """The classified table written in a forked child leaves no process or file behind.
 
 `analyze` hands a report.ClassifiedWriter to analyze_round and emit: a child
-writes the classified applications table into an unlinked temporary file while
+writes the classified applications table to its in-memory output file while
 the analysis goes on, and emit copies its text at the table's turn.  Whether
-the command succeeds, raises after the fork, or the child's write fails, the
-output is byte for byte that of one process, no child outlives the command,
-nothing lands under --out before this process writes there, and no temporary
-or `*.part` file is left.  The command-line runner runs BLAS in one thread,
+the command succeeds, raises after the fork, or a child's write fails, the
+output is byte for byte that of one process, no child or descriptor outlives
+the command, nothing lands under --out before this process writes there, and
+no temporary or `*.part` file is left.  The command-line runner runs BLAS in one thread,
 runs the atexit handlers and exits without the interpreter's teardown.
 """
 
@@ -28,7 +28,7 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 # the parse and the classified table's writer, where the host may fork and counts OS threads
-FORKS = 2 if hasattr(os, "fork") and CPUS >= 2 and os.path.isdir("/proc/self/task") else 0
+FORKS = 2 if hasattr(os, "memfd_create") and CPUS >= 2 and os.path.isdir("/proc/self/task") else 0
 # 3,000 applicants in two groups: three blocks of rows, forked under a floor of one block
 CONFIG = {"plans": [{
     "discipline": "01/A1", "n_full": 1500, "n_associate": 1500, "professors": 101,
@@ -68,9 +68,16 @@ def one_process(blocks_round, tmp_path_factory):
     return {format: files(out / format) for format in ("csv", "json")}
 
 
-def assert_no_child_left():
+def open_fds():
+    """This process's open file descriptors, where /proc/self/fd lists them, else None."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def assert_no_child_left(fds):
+    """No child left, and the descriptors `fds` open before the write are those open after it."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
 
 
 @pytest.fixture
@@ -87,13 +94,15 @@ def dataset(blocks_round):
 
 @pytest.mark.parametrize("format", ["csv", "json"])
 def test_the_childs_text_is_that_of_one_process(forkable, dataset, one_process, tmp_path, format):
+    fds = open_fds()
     with ClassifiedWriter(format) as writer:
         analyzed = analyze_round(dataset, writer=writer)
-        assert writer.child is not None and writer.table is analyzed.classified
+        child = writer.child  # held past the block, so that only close() can free its output file
+        assert child is not None and writer.table is analyzed.classified
         emit(analyzed, format, tmp_path, writer=writer)
-        assert writer.child.pid is None  # reaped at the table's turn
+        assert child.pid is None  # reaped at the table's turn
     assert files(tmp_path) == one_process[format]
-    assert_no_child_left()
+    assert_no_child_left(fds)
 
 
 @pytest.mark.parametrize("format", ["csv", "json"])
@@ -104,19 +113,22 @@ def test_a_failed_child_leaves_the_table_to_this_process(
         raise OSError("No space left on device")
 
     monkeypatch.setattr(ClassifiedWriter, "_write_text", fails)
+    fds = open_fds()
     with ClassifiedWriter(format) as writer:
         emit(analyze_round(dataset, writer=writer), format, tmp_path, writer=writer)
-        assert writer.child.returned is False
+        assert writer.child.wait() is None
     assert files(tmp_path) == one_process[format]
-    assert_no_child_left()
+    assert_no_child_left(fds)
 
 
 def test_leaving_the_block_early_kills_and_reaps_the_child(forkable, dataset):
+    fds = open_fds()
     with pytest.raises(RuntimeError), ClassifiedWriter("json") as writer:
         analyze_round(dataset, writer=writer)
+        child = writer.child  # held past the block, so that only close() can free its output file
         raise RuntimeError
-    assert (writer.child, writer.text) == (None, None)
-    assert_no_child_left()
+    assert writer.child is None and child.pid is None
+    assert_no_child_left(fds)
 
 
 def test_fewer_rows_than_the_floor_are_not_forked(monkeypatch):
@@ -130,9 +142,10 @@ def test_an_unknown_format_is_refused_before_any_fork():
 
 
 # Runs the command line as `python -m asnqual.cli` does, counting forks.  MODE
-# "raises" makes each child's write to a regular file fail, and "killed" kills
-# the child that tries one; only the table's child writes one, the parse's
-# writes to a pipe.  At exit it prints the forks, the exit codes of the children
+# "raises" makes the write of the table's child (the second fork) to its output
+# file fail, and "killed" kills that child at its write; "parse raises" makes
+# the parse's child (the first fork) fail its write, so that this process reads
+# the file again.  At exit it prints the forks, the exit codes of the children
 # reaped, whether a child is left, the BLAS thread setting and the number of OS
 # threads, where Linux lists them.  The fork floor is lowered to one block.
 DRIVER = """
@@ -146,7 +159,7 @@ codes, waitpid = [], os.waitpid
 def counted():
     forks.append(1)
     pid = fork()
-    if pid == 0 and mode != "ok":
+    if pid == 0 and len(forks) == {"ok": 0, "raises": 2, "killed": 2, "parse raises": 1}[mode]:
         resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
         if mode == "killed":  # Python ignores SIGXFSZ, so that the write raises
             signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
@@ -187,14 +200,15 @@ def run_cli(tmp_path, mode, *args, env=ENV):
 
 
 @pytest.mark.parametrize("format", ["csv", "json"])
-@pytest.mark.parametrize("mode", ["ok", "raises", "killed"])
+@pytest.mark.parametrize("mode", ["ok", "raises", "killed", "parse raises"])
 def test_analyze_writes_the_bytes_of_one_process(blocks_round, one_process, tmp_path, format, mode):
     out = tmp_path / "report"
     done, end = run_cli(tmp_path, mode, "analyze", *inputs(blocks_round), "--out", out,
                         "--format", format)
     assert (done.returncode, done.stdout) == (0, f"wrote {21 if format == 'csv' else 1} file(s) to {out}\n")
-    # the parse's child, then the table's: it returned, raised, or died of SIGXFSZ
-    assert end["codes"] == [0, {"ok": 0, "raises": 1, "killed": -signal.SIGXFSZ}[mode]][:FORKS]
+    # the parse's child, then the table's: each returned, raised, or died of SIGXFSZ
+    assert end["codes"] == {"ok": [0, 0], "raises": [0, 1], "killed": [0, -signal.SIGXFSZ],
+                            "parse raises": [1, 0]}[mode][:FORKS]
     assert files(out) == one_process[format]
 
 
