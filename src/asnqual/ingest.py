@@ -637,23 +637,34 @@ def may_fork(rows: int) -> bool:
 
 
 class ForkedChild:
-    """A forked child that runs `work(out)` and leaves by os._exit, with status 0 when
-    `work` returns and 1 when it raises.  So it never returns into the caller's code,
-    runs no atexit handler and flushes none of the caller's stdio buffers.
+    """`work(out)` in a forked child, when work on `rows` rows may fork (may_fork).
 
-    `out`, the child's one way back, is an anonymous in-memory file opened before the
-    fork: it needs no directory, and unlike a full pipe it never stops the child.
-    wait() reaps the child and returns `out` from its start, or None when the work
-    raised or the child died.  close(), and leaving a `with` block, kills the child
-    if not reaped yet, reaps it and closes `out`: no child or file outlives its owner.
+    The one place that decides to fork, forks, reaps and falls back.  Its
+    caller starts it, does its own part, and calls wait(): that returns `out`
+    from its start, or None when no child did the work (no fork was allowed,
+    os.memfd_create or os.fork failed, the work raised or the child died), and
+    then the caller does the child's part itself.  The child leaves by
+    os._exit, with status 0 when `work` returns and 1 when it raises, so it
+    never returns into the caller's code, runs no atexit handler and flushes
+    none of the caller's stdio buffers.  `out`, its one way back, is an
+    anonymous in-memory file opened before the fork: it needs no directory,
+    and unlike a full pipe it never stops the child.  close(), and leaving a
+    `with` block, kills the child if not reaped yet, reaps it and closes
+    `out`: no child or file outlives its owner.
     """
 
-    def __init__(self, work: Callable[[IO[bytes]], object]) -> None:
-        self.out = open(os.memfd_create("asnqual", os.MFD_CLOEXEC), "w+b")
+    def __init__(self, work: Callable[[IO[bytes]], object], rows: int) -> None:
+        self.pid: int | None = None
+        self.out: IO[bytes] | None = None
+        if not may_fork(rows):
+            return
         try:
-            self.pid: int | None = os.fork()
+            self.out = open(os.memfd_create("asnqual", os.MFD_CLOEXEC), "w+b")
+            self.pid = os.fork()
+        except OSError:  # no output file or no fork: no child, so wait() returns None
+            self.close()
         except BaseException:
-            self.out.close()
+            self.close()
             raise
         if self.pid == 0:
             status = 1
@@ -665,12 +676,12 @@ class ForkedChild:
                 os._exit(status)
 
     def wait(self) -> IO[bytes] | None:
-        """Reaps the child once; `out` from its start when the work returned, else None."""
+        """Reaps the child once; `out` from its start when a child's work returned, else None."""
         if self.pid is not None:
             if os.waitpid(self.pid, 0)[1] != 0:
                 self.out.close()
             self.pid = None
-        if self.out.closed:
+        if self.out is None or self.out.closed:
             return None
         self.out.seek(0)  # the child's writes moved the shared offset
         return self.out
@@ -681,7 +692,8 @@ class ForkedChild:
 
             os.kill(self.pid, signal.SIGKILL)
             self.wait()
-        self.out.close()
+        if self.out is not None:
+            self.out.close()
 
     def __enter__(self) -> ForkedChild:
         return self
@@ -698,12 +710,14 @@ def _parse_blocks(path: str | Path, kinds: dict[str, IndicatorKind]) -> Applicat
     """The table of a regular file with no damaged row, read in blocks of columns; None
     for any other file, which the row loop then reads from the start.
 
-    The file is cut at the first line break past its midpoint, and a forked
-    child parses the second half while this process parses the first, when
-    work on its rows, estimated from the length of the first, may fork
-    (may_fork).  Otherwise this process parses the whole file.  A FIFO or
-    other special file is never opened here, since a second read would not
-    see its data.
+    The file is cut at the first line break past its midpoint.  This process
+    parses the first half and a ForkedChild the second, on a fork rule given
+    the file's rows as estimated from the length of its first row.  The child
+    opens the file anew, so as not to move this process's offset, and sends
+    its columns as one marshal payload, or None when its half declines; when
+    no child did the work, this process parses the second half too.  A FIFO
+    or other special file is never opened here, since a second read would
+    not see its data.
     """
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -711,42 +725,26 @@ def _parse_blocks(path: str | Path, kinds: dict[str, IndicatorKind]) -> Applicat
         with open(path, "rb") as handle:
             blocks = _Blocks(handle, kinds)
             start, end = handle.tell(), os.fstat(handle.fileno()).st_size
-            cut = end
-            if may_fork((end - start) // max(1, len(handle.readline(blocks.limit + 1)))):
-                handle.seek(max(start, end // 2))
-                if handle.readline(blocks.limit + 1).endswith(b"\n"):
-                    cut = handle.tell()
-            if cut < end:
-                return _parse_halves(path, handle, blocks, start, cut, end)
-            return blocks.read(handle, start, end).table()
+            rows = (end - start) // max(1, len(handle.readline(blocks.limit + 1)))
+            handle.seek(max(start, end // 2))
+            cut = handle.tell() if handle.readline(blocks.limit + 1).endswith(b"\n") else end
+
+            def send(out: IO[bytes]) -> None:  # in the child
+                payload = marshal.dumps(None)  # if the half declines
+                with open(path, "rb") as own, suppress(_Decline):
+                    payload = blocks.read(own, cut, end).payload()
+                out.write(payload)
+
+            with ForkedChild(send, rows) as child:
+                blocks.read(handle, start, cut)
+                out = child.wait()
+                if out is None:
+                    blocks.read(handle, cut, end)
+                else:
+                    blocks.merge(marshal.loads(out.read()))  # marshal.load(out) reads piece by piece
+            return blocks.table()
     except (_Decline, OSError):
         return None
-
-
-def _parse_halves(path: str | Path, handle: IO[bytes], blocks: _Blocks,
-                  start: int, cut: int, end: int) -> ApplicationTable:
-    """Rows [start, cut) parsed here and [cut, end) in a ForkedChild, then merged.
-
-    The child opens the file anew, so as not to move this process's offset,
-    and writes its columns to its output as one marshal payload.  The child
-    is reaped before this returns or raises, and killed first if this
-    process's half stops early.  If no child can be made, this parses all rows.
-    """
-    def send(out: IO[bytes]) -> None:  # in the child
-        with open(path, "rb") as own:
-            out.write(blocks.read(own, cut, end).payload())
-
-    try:
-        child = ForkedChild(send)
-    except OSError:  # no output file or no fork
-        return blocks.read(handle, start, end).table()
-    with child:
-        blocks.read(handle, start, cut)
-        out = child.wait()
-        if out is None:
-            raise _Decline  # most likely a damaged second half, which only the row loop reads
-        columns = marshal.loads(out.read())  # marshal.load(out) reads it piece by piece
-    return blocks.merge(columns)
 
 
 class _Blocks(_Columns):
@@ -863,13 +861,15 @@ class _Blocks(_Columns):
         return marshal.dumps((self.ids, self.keys, self.group.tobytes(), self.values.tobytes(),
                               bytes(self.flags)))
 
-    def merge(self, columns: tuple) -> ApplicationTable:
-        """The table of these rows, then those of a child's loaded payload, added by add() too."""
+    def merge(self, columns: tuple | None) -> None:
+        """Adds the rows of a child's loaded payload after these, by add() too; None, from a
+        half that declined, declines here."""
+        if columns is None:
+            raise _Decline
         ids, keys, group, values, flags = columns
         # the child's groups, renumbered: ours first, then its new ones in its order
         renumber = list(map(self._gid, keys))
         self._add_runs(array("i", group), renumber.__getitem__, ids, array("d", values), flags)
-        return self.table()
 
 
 def parse_medians(

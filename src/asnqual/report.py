@@ -20,7 +20,6 @@ import itertools
 import math
 import operator
 import shutil
-from contextlib import suppress
 from dataclasses import astuple, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -36,7 +35,6 @@ from .ingest import (
     BLOCK_ROWS,
     ForkedChild,
     RoundDataset,
-    may_fork,
     number_cells,
     write_csv,
 )
@@ -683,15 +681,15 @@ class ClassifiedWriter:
     """The classified applications table, written in a forked child while the analysis
     goes on; hand it to analyze_round and to emit, within its `with` block.
 
-    analyze_round calls start() once the table's rows are sorted.  For a
-    table of at least FORK_ROWS rows, in a process that may fork
-    (ingest.may_fork), a ForkedChild writes the table's text in `format` (its
-    CSV file, or its value in report.json) to its output through the writer
-    that emit uses.  emit calls write() at the table's turn: it reaps the
-    child and copies that text, or, when no child ran or it failed, writes the
-    table itself.  This process makes every directory and file under the
-    output directory, in the order that it makes them without a child.
-    Leaving the block kills and reaps a child not yet reaped.
+    analyze_round calls start() once the table's rows are sorted: it starts a
+    ForkedChild on the table's rows, which writes the table's text in `format`
+    (its CSV file, or its value in report.json) to its output through the
+    writer that emit uses, when the table is large enough and the process may
+    fork.  emit calls write() at the table's turn: it reaps the child and
+    copies that text as bytes, or, when no child did the work, writes the
+    table itself through the same writer.  This process makes every directory
+    and file under the output directory, in the order that it makes them
+    without a child.  Leaving the block kills and reaps a child not yet reaped.
     """
 
     def __init__(self, format: str) -> None:
@@ -702,22 +700,23 @@ class ClassifiedWriter:
     def start(self, table: ClassifiedTable) -> None:
         self.close()
         self.table = table
-        if may_fork(len(table)):
-            with suppress(OSError):  # no output file or no fork: write() writes the table here
-                self.child = ForkedChild(self._write_text)
+        self.child = ForkedChild(self._write_text, len(table))
 
     def _write_text(self, out: IO[bytes]) -> None:  # in the child
         with open(out.fileno(), "w", encoding="utf-8", newline="", closefd=False) as handle:
-            _TABLE_WRITERS[self.format](handle, _CLASSIFIED_HEADER, self.table.columns)
+            self._write_table(handle)
+
+    def _write_table(self, handle: IO[str]) -> None:
+        _TABLE_WRITERS[self.format](handle, _CLASSIFIED_HEADER, self.table.columns)
 
     def write(self, handle: IO[str]) -> None:
-        """The table's text to `handle`: the child's, when its work returned, else written here."""
+        """The table's text to a UTF-8 file: the child's when its work returned, else written here."""
         out = None if self.child is None else self.child.wait()
-        if out is not None:
-            with open(out.fileno(), encoding="utf-8", newline="", closefd=False) as text:
-                shutil.copyfileobj(text, handle, 1 << 16)  # a larger piece raised the peak RSS
-        else:
-            _TABLE_WRITERS[self.format](handle, _CLASSIFIED_HEADER, self.table.columns)
+        if out is None:
+            self._write_table(handle)
+        else:  # the child's UTF-8 bytes, after the text that `handle` has buffered
+            handle.flush()
+            shutil.copyfileobj(out, handle.buffer, 1 << 16)  # a larger piece raised the peak RSS
 
     def close(self) -> None:
         if self.child is not None:

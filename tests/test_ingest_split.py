@@ -3,11 +3,12 @@
 parse_applications reads a clean regular file through the block path, the
 second half of it in a forked child when the process may fork.  Whether it
 returns, falls back to the row loop or raises a hard error, the child is
-reaped and its output file closed before it does; when no child can be made,
-the block path reads the whole file in this process.  A FIFO is never opened
-by the block path, and the command-line `validate` forks without a
-DeprecationWarning, which Python 3.12 gives for a fork in a process that runs
-threads.
+reaped and its output file closed before it does.  When no child is made or
+the child fails, this process reads the second half by the block path too; a
+second half that declines sends the file to the row loop, without this
+process block-reading that half first.  A FIFO is never opened by the block
+path, and the command-line `validate` forks without a DeprecationWarning,
+which Python 3.12 gives for a fork in a process that runs threads.
 """
 
 import errno
@@ -124,6 +125,49 @@ def test_a_failed_fork_leaves_the_whole_file_to_the_block_path(tmp_path, monkeyp
     table, diagnostics = parse_applications(path, REGISTRY)
     assert (columns(table), diagnostics) == (columns(alone), [])
     assert open_fds() == fds
+
+
+def test_a_failed_child_leaves_its_half_to_this_process(tmp_path, forks, monkeypatch):
+    path = write_round(tmp_path)
+    with monkeypatch.context() as alone:
+        alone.setattr(ingest, "_forkable", lambda: False)
+        one_process, _ = parse_applications(path, REGISTRY)
+
+    def fails(blocks):  # only the child sends a payload
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(ingest._Blocks, "payload", fails)
+    monkeypatch.setattr(ingest, "_parse_rows", lambda *args: pytest.fail("read by the row loop"))
+    fds = open_fds()
+    table, diagnostics = parse_applications(path, REGISTRY)
+    assert (columns(table), diagnostics) == (columns(one_process), [])
+    assert_one_child_reaped(forks, fds)
+
+
+def test_a_round_under_the_floor_is_not_forked(monkeypatch):
+    monkeypatch.setattr(ingest, "_forkable", lambda: True)
+    calls = []
+    for call in ("fork", "memfd_create"):
+        monkeypatch.setattr(os, call, lambda *args, call=call: calls.append(call))
+    fds = open_fds()
+    with ingest.ForkedChild(lambda out: pytest.fail("worked"), ingest.FORK_ROWS - 1) as child:
+        assert child.wait() is None
+    assert calls == [] and open_fds() == fds
+
+
+def test_a_declined_second_half_is_not_read_again_here(tmp_path, forks, monkeypatch):
+    path, fds = write_round(tmp_path, row(last='"Rossi, Jr"'), 1900), open_fds()
+    reads, read = [], ingest._Blocks.read
+
+    def counted(blocks, handle, start, end):
+        reads.append((start, end))  # in the child, to its own copy of the list
+        return read(blocks, handle, start, end)
+
+    monkeypatch.setattr(ingest._Blocks, "read", counted)
+    table, diagnostics = parse_applications(path, REGISTRY)
+    assert (len(table), diagnostics) == (2101, [])
+    assert len(reads) == 1  # this process's half; the child's declined, and the row loop read the file
+    assert_one_child_reaped(forks, fds)
 
 
 def round_files(tmp_path):

@@ -145,7 +145,7 @@ def test_an_unknown_format_is_refused_before_any_fork():
 # "raises" makes the write of the table's child (the second fork) to its output
 # file fail, and "killed" kills that child at its write; "parse raises" makes
 # the parse's child (the first fork) fail its write, so that this process reads
-# the file again.  At exit it prints the forks, the exit codes of the children
+# the second half itself.  At exit it prints the forks, the exit codes of the children
 # reaped, whether a child is left, the BLAS thread setting and the number of OS
 # threads, where Linux lists them.  The fork floor is lowered to one block.
 DRIVER = """
